@@ -28,7 +28,7 @@ class Table1Result:
 
     rows: list[Table1Row] = field(default_factory=list)
     seconds_per_row: list[float] = field(default_factory=list)
-    engine: str = "fast"
+    engine: str = "parallel"
 
     def render(self) -> str:
         return render_table(Table1Row.HEADERS, [r.as_cells() for r in self.rows])
@@ -71,8 +71,7 @@ def run_table1(
     dataset: ProvincialDataset,
     probabilities: Sequence[float] = PAPER_TRADING_PROBABILITIES,
     *,
-    engine: str = "fast",
-    collect_groups: bool = False,
+    engine: str = "parallel",
     verify_against_oracle: bool = True,
 ) -> Table1Result:
     """Run the sweep and return the assembled table.
@@ -80,15 +79,15 @@ def run_table1(
     The antecedent network is fused once; each probability overlays its
     own seeded trading network (matching the paper's "twenty trading
     networks randomly generated").  ``engine`` selects the detector; the
-    fast engine with ``collect_groups=False`` keeps the densest settings
-    within a small memory budget.
+    default parallel engine counts groups off its compact arrays and
+    materializes them only for the simple/complex split.
     """
     base = dataset.antecedent_tpiin()
     result = Table1Result(engine=engine)
     for probability in probabilities:
         started = time.perf_counter()
         tpiin = dataset.overlay_trading(base, probability)
-        detection = detect(tpiin, engine=engine, collect_groups=collect_groups)
+        detection = detect(tpiin, engine=engine)
         row = compute_table1_row(
             tpiin,
             detection,

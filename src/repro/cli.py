@@ -200,8 +200,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     dataset = generate_province(_province_config(args))
     trading = dataset.trading_graph(args.probability)
     tpiin = dataset.fuse_with(trading).tpiin
-    arc_path = args.out.with_suffix(".arcs.csv")
-    node_path = args.out.with_suffix(".nodes.csv")
+    # Append, not with_suffix: a dotted prefix such as prov-0.01 must
+    # keep its ".01".
+    arc_path = args.out.with_name(args.out.name + ".arcs.csv")
+    node_path = args.out.with_name(args.out.name + ".nodes.csv")
     write_tpiin_csv(tpiin, arc_path, node_path)
     stats = tpiin.stats()
     print(f"wrote {arc_path} and {node_path}")
@@ -270,7 +272,7 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
     dataset = generate_province(_province_config(args))
     base = dataset.antecedent_tpiin()
     tpiin = dataset.overlay_trading(base, args.probability)
-    result = detect(tpiin, engine=Engine.FAST)
+    result = detect(tpiin, engine=Engine.PARALLEL)
     investigation = investigate_company(tpiin, result, args.company)
     print(investigation.render())
     print()
@@ -289,7 +291,7 @@ def _cmd_twophase(args: argparse.Namespace) -> int:
     dataset = generate_province(_province_config(args))
     base = dataset.antecedent_tpiin()
     tpiin = dataset.overlay_trading(base, args.probability)
-    result = detect(tpiin, engine=Engine.FAST)
+    result = detect(tpiin, engine=Engine.PARALLEL)
     print(result.summary())
     industry_of = {
         c.company_id: c.industry for c in dataset.registry.companies.values()

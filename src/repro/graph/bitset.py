@@ -4,10 +4,10 @@ The decisive question of the whole mining problem is: *do two companies
 share an antecedent?*  In a DAG, two nodes share an ancestor (allowing a
 node to count as its own ancestor) if and only if they share an
 indegree-zero **root** ancestor, because every ancestor is itself reached
-from some root.  The fast mining engine therefore precomputes, for every
-node, the set of roots that reach it, packed into a fixed-width bit row,
-and answers each of the hundreds of thousands of Table-1 trading-arc
-queries with one vectorized ``AND``.
+from some root.  The streaming detector and the suspicious-arc oracles
+therefore precompute, for every node, the set of roots that reach it,
+packed into a fixed-width bit row, and answer each of the hundreds of
+thousands of Table-1 trading-arc queries with one vectorized ``AND``.
 
 Memory: the provincial network has ~2,100 roots and ~4,600 nodes, i.e.
 roughly ``4600 * ceil(2100 / 8)`` = 1.2 MB packed.

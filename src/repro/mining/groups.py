@@ -87,8 +87,8 @@ class SuspiciousGroup:
         """Construct without ``__post_init__`` validation.
 
         For miners that guarantee the trail invariants by construction
-        (the CSR engine's fused DFS/matcher emits millions of groups on
-        dense settings, where per-group re-validation is pure overhead).
+        (the parallel engine materializes millions of groups on dense
+        settings, where per-group re-validation is pure overhead).
         Everything else should go through the regular constructor.
         """
         self = object.__new__(cls)

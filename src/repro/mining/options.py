@@ -28,13 +28,18 @@ __all__ = ["DetectOptions", "Engine", "TraceSpec"]
 class Engine(str, Enum):
     """The detection engines (all produce identical group sets).
 
+    * ``FAITHFUL`` — the paper's Algorithm 1/2 literally; the oracle
+      every other engine is tested against;
+    * ``PARALLEL`` — the batch engine: compact CSR kernels, optionally
+      fanned out over a shared-memory worker pool;
+    * ``INCREMENTAL`` — the streaming detector the daemon runs, fed
+      every trading arc of the TPIIN in one pass.
+
     Subclasses ``str`` so every call site that compared against
-    ``"fast"`` (or stored the engine name in JSON) keeps working.
+    ``"parallel"`` (or stored the engine name in JSON) keeps working.
     """
 
     FAITHFUL = "faithful"
-    FAST = "fast"
-    CSR = "csr"
     PARALLEL = "parallel"
     INCREMENTAL = "incremental"
 
@@ -68,12 +73,19 @@ class DetectOptions:
     construction).  ``trace=True`` collects a span tree onto
     ``DetectionResult.trace``; passing a :class:`~repro.obs.Tracer`
     instead lets the caller nest the run under its own spans.
+    ``max_trails_per_subtpiin`` applies to the faithful engine only and
+    ``collect_groups`` to the incremental engine only; the other
+    engines ignore them.
     """
 
     engine: Engine = Engine.FAITHFUL
+    # Faithful engine only: cap on each subTPIIN's pattern base; a
+    # capped run is flagged truncated and its counts are lower bounds.
     max_trails_per_subtpiin: int | None = None
     skip_trivial_subtpiins: bool = True
     processes: int | None = None
+    # Incremental engine only: False keeps the tallies and suspicious
+    # arcs without materializing group objects.
     collect_groups: bool = True
     trace: TraceSpec = False
     # Parallel engine: minimum total estimated mining work (tree nodes +

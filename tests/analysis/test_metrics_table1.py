@@ -97,8 +97,11 @@ class TestSweepOptions:
         )
         assert sweep.rows[0].trade_accuracy == 1.0  # reported, unchecked
 
-    def test_collect_groups_mode(self, small_province):
-        sweep = run_table1(
-            small_province, probabilities=(0.02,), collect_groups=True
+    def test_faithful_engine_rows_equal_default(self, small_province):
+        default = run_table1(small_province, probabilities=(0.02,))
+        faithful = run_table1(
+            small_province, probabilities=(0.02,), engine="faithful"
         )
-        assert sweep.rows[0].group_accuracy == 1.0
+        assert default.engine == "parallel"
+        assert faithful.rows[0].as_cells() == default.rows[0].as_cells()
+        assert faithful.rows[0].group_accuracy == 1.0

@@ -16,7 +16,7 @@ from repro.mining.compact import (
     make_group_store,
     merge_counts,
 )
-from repro.mining.csr_engine import (
+from repro.mining.parallel import (
     _FRONTIER_MIN_TREE,
     mine_components,
     mine_frontier_compact,

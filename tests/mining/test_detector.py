@@ -85,6 +85,14 @@ class TestResultAccounting:
         with pytest.raises(MiningError, match="engine"):
             detect(fig8, engine="quantum")
 
+    @pytest.mark.parametrize("removed", ["fast", "csr"])
+    def test_removed_engines_name_the_three_choices(self, fig8, removed):
+        with pytest.raises(MiningError) as excinfo:
+            detect(fig8, engine=removed)
+        message = str(excinfo.value)
+        assert repr(removed) in message
+        assert "choices: faithful, parallel, incremental" in message
+
     def test_max_trails_caps_search(self, fig8):
         result = detect(fig8, max_trails_per_subtpiin=4)
         assert result.pattern_trail_count == 4
@@ -95,6 +103,16 @@ class TestResultAccounting:
         result = detect(fig8)
         assert not result.truncated
         assert "truncated" not in result.summary()
+
+    def test_max_trails_ignored_by_other_engines(self, fig8):
+        uncapped = detect(fig8)
+        for engine in ("parallel", "incremental"):
+            result = detect(fig8, engine=engine, max_trails_per_subtpiin=2, processes=1)
+            assert not result.truncated
+            assert "truncated" not in result.summary()
+            assert result.suspicious_trading_arcs == uncapped.suspicious_trading_arcs
+            assert result.simple_group_count == uncapped.simple_group_count
+            assert result.complex_group_count == uncapped.complex_group_count
 
     def test_write_files(self, fig8, tmp_path):
         result = detect(fig8)
@@ -158,9 +176,7 @@ class TestSubReport:
         assert "groups" in text
 
     def test_fast_engine_has_no_sub_data(self, fig8):
-        from repro.mining.detector import detect
-
-        text = detect(fig8, engine="fast").render_sub_report()
+        text = detect(fig8, engine="incremental").render_sub_report()
         assert "did not segment" in text
 
     def test_truncation(self, small_province_tpiin):

@@ -1,14 +1,15 @@
-"""Unit tests for the optimized engine and its helpers."""
+"""Unit tests for the per-arc path helpers and the incremental engine.
+
+The helpers run over the frozen influence kernel the streaming detector
+builds; the whole-TPIIN runs go through ``engine="incremental"``.
+"""
 
 import pytest
 
 from repro.fusion.tpiin import TPIIN
+from repro.graph.csr import CSRGraph
 from repro.mining.detector import detect
-from repro.mining.fast import (  # reprolint: disable=R011  (deprecation under test)
-    enumerate_root_paths,
-    fast_detect,
-    paths_between,
-)
+from repro.mining.incremental import _enumerate_root_paths, _paths_between
 from repro.mining.options import Engine
 from repro.model.colors import EColor
 
@@ -22,26 +23,30 @@ def diamond_tpiin() -> TPIIN:
     )
 
 
+def frozen_influence(tpiin: TPIIN) -> CSRGraph:
+    return CSRGraph.freeze(tpiin.graph, colors=(EColor.INFLUENCE,))
+
+
 class TestHelpers:
     def test_enumerate_root_paths(self):
-        t = diamond_tpiin()
-        by_end = enumerate_root_paths(t.graph, "r")
+        csr = frozen_influence(diamond_tpiin())
+        by_end = _enumerate_root_paths(csr, "r")
         assert by_end["r"] == [("r",)]
         assert set(by_end["t"]) == {("r", "a", "t"), ("r", "b", "t")}
         assert len(by_end["u"]) == 2
 
     def test_paths_between(self):
-        t = diamond_tpiin()
-        assert set(paths_between(t.graph, "r", "t")) == {
+        csr = frozen_influence(diamond_tpiin())
+        assert set(_paths_between(csr, "r", "t")) == {
             ("r", "a", "t"),
             ("r", "b", "t"),
         }
-        assert paths_between(t.graph, "t", "r") == []
-        assert paths_between(t.graph, "t", "t") == [("t",)]
+        assert _paths_between(csr, "t", "r") == []
+        assert _paths_between(csr, "t", "t") == [("t",)]
 
     def test_paths_between_prunes_unreachable(self):
-        t = diamond_tpiin()
-        assert paths_between(t.graph, "u", "b") == []
+        csr = frozen_influence(diamond_tpiin())
+        assert _paths_between(csr, "u", "b") == []
 
 
 class TestEquivalence:
@@ -49,20 +54,24 @@ class TestEquivalence:
     def test_fast_matches_faithful_on_fixtures(self, fixture, request):
         tpiin = request.getfixturevalue(fixture)
         faithful = detect(tpiin)
-        fast = detect(tpiin, engine=Engine.FAST)
-        assert {g.key() for g in fast.groups} == {g.key() for g in faithful.groups}
-        assert fast.suspicious_trading_arcs == faithful.suspicious_trading_arcs
-        assert fast.total_trading_arcs == faithful.total_trading_arcs
+        streamed = detect(tpiin, engine=Engine.INCREMENTAL)
+        assert {g.key() for g in streamed.groups} == {
+            g.key() for g in faithful.groups
+        }
+        assert streamed.suspicious_trading_arcs == faithful.suspicious_trading_arcs
+        assert streamed.total_trading_arcs == faithful.total_trading_arcs
 
     def test_fast_on_diamond_with_circle(self):
         t = diamond_tpiin()
         faithful = detect(t)
-        fast = detect(t, engine=Engine.FAST)
-        assert {g.key() for g in fast.groups} == {g.key() for g in faithful.groups}
+        streamed = detect(t, engine=Engine.INCREMENTAL)
+        assert {g.key() for g in streamed.groups} == {
+            g.key() for g in faithful.groups
+        }
 
     def test_collect_groups_false_matches_counts(self, fig8):
-        full = detect(fig8, engine=Engine.FAST, collect_groups=True)
-        counted = detect(fig8, engine=Engine.FAST, collect_groups=False)
+        full = detect(fig8, engine=Engine.INCREMENTAL, collect_groups=True)
+        counted = detect(fig8, engine=Engine.INCREMENTAL, collect_groups=False)
         assert counted.groups == []
         assert counted.simple_group_count == full.simple_group_count
         assert counted.complex_group_count == full.complex_group_count
@@ -72,22 +81,9 @@ class TestEquivalence:
 
     def test_small_province_equivalence(self, small_province_tpiin):
         faithful = detect(small_province_tpiin)
-        fast = detect(small_province_tpiin, engine=Engine.FAST)
-        assert {g.key() for g in fast.groups} == {g.key() for g in faithful.groups}
-        assert fast.subtpiin_count == faithful.subtpiin_count
-        assert fast.cross_component_trades == faithful.cross_component_trades
-
-
-class TestDeprecatedAlias:
-    def test_fast_detect_warns_and_delegates(self, fig8):
-        with pytest.warns(DeprecationWarning, match="fast_detect"):
-            aliased = fast_detect(fig8)
-        direct = detect(fig8, engine=Engine.FAST)
-        assert {g.key() for g in aliased.groups} == {g.key() for g in direct.groups}
-        assert aliased.engine == direct.engine
-
-    def test_fast_detect_forwards_collect_groups(self, fig8):
-        with pytest.warns(DeprecationWarning):
-            counted = fast_detect(fig8, collect_groups=False)
-        assert counted.groups == []
-        assert counted.group_count > 0
+        streamed = detect(small_province_tpiin, engine=Engine.INCREMENTAL)
+        assert {g.key() for g in streamed.groups} == {
+            g.key() for g in faithful.groups
+        }
+        assert streamed.subtpiin_count == faithful.subtpiin_count
+        assert streamed.cross_component_trades == faithful.cross_component_trades

@@ -17,7 +17,7 @@ def antecedent_only_fig8(fig8) -> TPIIN:
 class TestStreaming:
     def test_initial_ingest_matches_batch(self, fig8):
         detector = IncrementalDetector(fig8)
-        batch = detect(fig8, engine="fast")
+        batch = detect(fig8, engine="parallel")
         assert detector.suspicious_arcs == batch.suspicious_trading_arcs
         assert {g.key() for g in detector.result().groups} == {
             g.key() for g in batch.groups
@@ -105,7 +105,7 @@ class TestPathCache:
 
     def test_capped_detector_still_matches_batch(self, fig8):
         capped = IncrementalDetector(fig8, max_cached_roots=1)
-        batch = detect(fig8, engine="fast")
+        batch = detect(fig8, engine="parallel")
         assert {g.key() for g in capped.result().groups} == {
             g.key() for g in batch.groups
         }
@@ -204,7 +204,7 @@ class TestSpecialShapes:
         assert update.groups[0].kind is GroupKind.SCS
 
     def test_small_province_stream_matches_batch(self, small_province_tpiin):
-        batch = detect(small_province_tpiin, engine="fast")
+        batch = detect(small_province_tpiin, engine="parallel")
         antecedent = TPIIN(
             graph=small_province_tpiin.antecedent_graph(),
             node_map=dict(small_province_tpiin.node_map),

@@ -80,7 +80,7 @@ class TestExporters:
     def _populated(self) -> MetricsRegistry:
         registry = MetricsRegistry()
         registry.counter(
-            "repro_runs_total", help="Detection runs.", engine="fast"
+            "repro_runs_total", help="Detection runs.", engine="parallel"
         ).inc(2)
         registry.gauge("repro_uptime_seconds").set(1.5)
         registry.histogram(
@@ -93,7 +93,7 @@ class TestExporters:
         assert payload["repro_runs_total"]["kind"] == "counter"
         assert payload["repro_runs_total"]["help"] == "Detection runs."
         series = payload["repro_runs_total"]["series"]
-        assert series == [{"labels": {"engine": "fast"}, "value": 2.0}]
+        assert series == [{"labels": {"engine": "parallel"}, "value": 2.0}]
         histogram_series = payload["repro_wall_ms"]["series"][0]
         assert histogram_series["labels"] == {"endpoint": "result"}
         assert histogram_series["count"] == 1
@@ -102,7 +102,7 @@ class TestExporters:
         text = self._populated().render_prometheus()
         assert "# HELP repro_runs_total Detection runs." in text
         assert "# TYPE repro_runs_total counter" in text
-        assert 'repro_runs_total{engine="fast"} 2' in text
+        assert 'repro_runs_total{engine="parallel"} 2' in text
         assert "repro_uptime_seconds 1.5" in text
         assert 'repro_wall_ms_bucket{endpoint="result",le="1"} 0' in text
         assert 'repro_wall_ms_bucket{endpoint="result",le="10"} 1' in text

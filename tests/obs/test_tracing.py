@@ -52,11 +52,11 @@ class TestTracer:
     def test_set_and_add_attributes(self):
         tracer = Tracer()
         with tracer.span("stage") as span:
-            span.set(nodes=5, engine="fast")
+            span.set(nodes=5, engine="parallel")
             span.add("trails")
             span.add("trails", 2)
         record = tracer.root
-        assert record.attributes == {"nodes": 5, "engine": "fast", "trails": 3}
+        assert record.attributes == {"nodes": 5, "engine": "parallel", "trails": 3}
 
     def test_record_attaches_pre_timed_child(self):
         tracer = Tracer()

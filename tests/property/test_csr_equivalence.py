@@ -1,22 +1,13 @@
-"""Property: the CSR kernel is a lossless, order-preserving rewrite.
+"""Property: freezing into the CSR kernel is lossless.
 
-Three layers of equivalence on random TPIINs:
-
-1. freeze/thaw is the identity on nodes, colors and colored arcs
-   (multi-color parallel arcs included);
-2. the CSR trail enumerator reproduces the faithful pattern base
-   **in order**, not just as a set;
-3. ``detect(engine="csr")`` finds exactly the groups of
-   ``detect(engine="faithful")``.
+freeze/thaw is the identity on nodes, colors and colored arcs
+(multi-color parallel arcs included), and every per-color degree of the
+frozen kernel equals the source graph's.
 """
 
 from hypothesis import given, settings
 
 from repro.graph.csr import CSRGraph
-from repro.mining.csr_engine import build_patterns_tree_csr, csr_detect
-from repro.mining.detector import detect
-from repro.mining.patterns import build_patterns_tree
-from repro.mining.segmentation import segment
 
 from .strategies import tpiins
 
@@ -34,37 +25,3 @@ def test_freeze_thaw_round_trip(tpiin):
         for color in csr.arc_color_domain:
             assert csr.out_degree(node, color) == graph.out_degree(node, color)
             assert csr.in_degree(node, color) == graph.in_degree(node, color)
-
-
-@settings(max_examples=120, deadline=None)
-@given(tpiin=tpiins())
-def test_csr_trails_equal_faithful_in_order(tpiin):
-    for sub in segment(tpiin).subtpiins:
-        faithful = build_patterns_tree(sub.graph)
-        csr = build_patterns_tree_csr(sub.graph)
-        assert csr.trails == faithful.trails
-        assert csr.list_d == faithful.list_d
-        assert csr.render_tree() == faithful.render_tree()
-
-
-@settings(max_examples=120, deadline=None)
-@given(tpiin=tpiins())
-def test_csr_engine_equals_faithful(tpiin):
-    faithful = detect(tpiin, engine="faithful")
-    csr = csr_detect(tpiin)
-    assert {g.key() for g in csr.groups} == {g.key() for g in faithful.groups}
-    assert csr.suspicious_trading_arcs == faithful.suspicious_trading_arcs
-    assert csr.pattern_trail_count == faithful.pattern_trail_count
-    assert csr.simple_group_count == faithful.simple_group_count
-    assert csr.complex_group_count == faithful.complex_group_count
-
-
-@settings(max_examples=60, deadline=None)
-@given(tpiin=tpiins())
-def test_capped_csr_prefix_matches_capped_faithful(tpiin):
-    """Under a max_trails cap both engines truncate identically."""
-    for sub in segment(tpiin).subtpiins:
-        faithful = build_patterns_tree(sub.graph, max_trails=3, build_tree=False)
-        csr = build_patterns_tree_csr(sub.graph, max_trails=3, build_tree=False)
-        assert csr.trails == faithful.trails
-        assert csr.truncated == faithful.truncated

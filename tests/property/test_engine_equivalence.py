@@ -1,15 +1,17 @@
 """Property: every engine and both oracles agree on random TPIINs.
 
 This is the library's keystone invariant (DESIGN.md, item 3): the
-faithful Algorithm 1/2, the optimized engine, the naive Appendix-B
-matcher and the paper's global-traversal baseline all produce the same
-group set, and the suspicious-arc set equals both reachability oracles.
+faithful Algorithm 1/2, the streaming detector's per-arc enumeration,
+the naive Appendix-B matcher and the paper's global-traversal baseline
+all produce the same group set, and the suspicious-arc set equals both
+reachability oracles.
 """
 
 from hypothesis import given, settings
 
 from repro.baseline.global_traversal import global_traversal_detect
 from repro.mining.detector import detect
+from repro.mining.incremental import IncrementalDetector
 from repro.mining.matching import match_component_patterns, match_pairs_naive
 from repro.mining.oracle import suspicious_arc_oracle, suspicious_arc_oracle_closure
 from repro.mining.patterns import build_patterns_tree
@@ -19,11 +21,12 @@ from .strategies import tpiins
 
 @settings(max_examples=120, deadline=None)
 @given(tpiin=tpiins())
-def test_faithful_equals_fast(tpiin):
+def test_faithful_equals_incremental(tpiin):
+    """One streaming pass over the full TPIIN equals Algorithm 1/2."""
     faithful = detect(tpiin)
-    fast = detect(tpiin, engine="fast")
-    assert {g.key() for g in faithful.groups} == {g.key() for g in fast.groups}
-    assert faithful.suspicious_trading_arcs == fast.suspicious_trading_arcs
+    streamed = IncrementalDetector(tpiin).result()
+    assert {g.key() for g in faithful.groups} == {g.key() for g in streamed.groups}
+    assert faithful.suspicious_trading_arcs == streamed.suspicious_trading_arcs
 
 
 @settings(max_examples=80, deadline=None)
@@ -69,7 +72,6 @@ def test_all_mode_baseline_is_superset_with_same_arcs(tpiin):
 def test_incremental_equals_batch_after_add_remove(tpiin):
     """Streaming adds/removes converge to the batch result."""
     from repro.fusion.tpiin import TPIIN
-    from repro.mining.incremental import IncrementalDetector
 
     arcs = sorted(tpiin.trading_arcs())
     antecedent = TPIIN(graph=tpiin.antecedent_graph())
@@ -82,7 +84,7 @@ def test_incremental_equals_batch_after_add_remove(tpiin):
     for arc in arcs[: len(arcs) // 2]:
         detector.add_trading_arc(*arc)
 
-    batch = detect(tpiin, engine="fast")
+    batch = detect(tpiin, engine="parallel")
     assert detector.suspicious_arcs == batch.suspicious_trading_arcs
     streamed = detector.result()
     assert {g.key() for g in streamed.groups} == {g.key() for g in batch.groups}
@@ -117,7 +119,7 @@ def test_sliding_windows_match_batch(tpiin, data):
             trades, window_result.window_start, window_result.window_end
         ):
             expected.graph.add_arc(*arc, EColor.TRADING)
-        batch = detect(expected, engine="fast", collect_groups=False)
+        batch = detect(expected, engine="parallel")
         assert window_result.suspicious_arcs == batch.suspicious_trading_arcs
         assert (
             window_result.result.group_count == batch.group_count

@@ -1,4 +1,4 @@
-"""Property: the shared-memory parallel engine equals faithful and csr.
+"""Property: the parallel engine equals faithful and incremental.
 
 The parallel engine rebuilds the whole pipeline — whole-graph freeze,
 numpy segmentation plan, compact kernels, lazy group materialization —
@@ -48,15 +48,17 @@ def test_parallel_equals_faithful(tpiin):
 
 @settings(max_examples=80, deadline=None)
 @given(tpiin=tpiins())
-def test_parallel_equals_csr(tpiin):
-    csr = detect(tpiin, engine="csr")
+def test_parallel_equals_incremental(tpiin):
+    streamed = detect(tpiin, engine="incremental")
     parallel = detect(tpiin, engine="parallel")
-    assert {g.key() for g in parallel.groups} == {g.key() for g in csr.groups}
-    assert parallel.suspicious_trading_arcs == csr.suspicious_trading_arcs
+    assert {g.key() for g in parallel.groups} == {
+        g.key() for g in streamed.groups
+    }
+    assert parallel.suspicious_trading_arcs == streamed.suspicious_trading_arcs
     assert (
         parallel.simple_group_count,
         parallel.complex_group_count,
-    ) == (csr.simple_group_count, csr.complex_group_count)
+    ) == (streamed.simple_group_count, streamed.complex_group_count)
 
 
 @settings(max_examples=8, deadline=None)

@@ -32,6 +32,16 @@ class TestParser:
             assert args.engine == "incremental"
             assert args.processes is None
 
+    @pytest.mark.parametrize("removed", ["fast", "csr"])
+    def test_mine_rejects_removed_engines(self, removed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["mine", "a.csv", "n.csv", "--engine", removed])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        for engine in ("faithful", "parallel", "incremental"):
+            assert engine in err
+
     def test_mine_accepts_processes(self):
         args = build_parser().parse_args(
             ["mine", "a.csv", "n.csv", "--engine", "parallel", "--processes", "2"]
@@ -87,14 +97,14 @@ class TestCommands:
                 str(arcs),
                 str(nodes),
                 "--engine",
-                "fast",
+                "parallel",
                 "--out-dir",
                 str(tmp_path / "out"),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "engine=fast" in out
+        assert "engine=parallel" in out
         assert (tmp_path / "out" / "detection.json").exists()
 
         code = main(
@@ -112,6 +122,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "engine=incremental" in out
         assert (tmp_path / "out-inc" / "detection.json").exists()
+
+    def test_generate_keeps_dotted_prefix(self, tmp_path, capsys):
+        prefix = tmp_path / "prov-0.01"
+        code = main(
+            [
+                "generate",
+                "--out",
+                str(prefix),
+                "--companies",
+                "40",
+                "--seed",
+                "5",
+                "--probability",
+                "0.01",
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "prov-0.01.arcs.csv",
+            "prov-0.01.nodes.csv",
+        ]
 
     def test_mine_detector_portfolio(self, tmp_path, capsys, monkeypatch):
         import json
@@ -258,7 +290,7 @@ class TestNewCommands:
                 "ingest",
                 str(tmp_path / "registry"),
                 "--engine",
-                "fast",
+                "parallel",
                 "--out-dir",
                 str(tmp_path / "out"),
             ]

@@ -4,13 +4,13 @@ Measures requests (or arc-lines) per second and exact client-side
 p50/p99 latency against a live in-process daemon, for five configs:
 
 ``seed_single_shard``
-    The daemon as the previous revision shipped it: one shard,
-    per-request durable commit, and the transport *without*
-    ``TCP_NODELAY`` — Nagle plus the peer's delayed ACK stalls every
-    keep-alive response ~40 ms, which is what this revision fixed.
+    A one-shard daemon over the transport *without* ``TCP_NODELAY``
+    — Nagle plus the peer's delayed ACK stalls every keep-alive
+    response ~40 ms, which the daemon's transport now avoids.
 ``single_arc``
-    The same single-shard daemon over the fixed transport; one durable
-    commit (WAL append + fsync) per request.
+    The same one-shard daemon over the fixed transport; each request
+    is one durable commit (WAL append + fsync) through the shard's
+    group-commit queue.
 ``batch``
     NDJSON bulk ingest (``POST /v1/arcs:batch``) against the
     single-shard daemon; one fsync per commit group.
@@ -62,8 +62,7 @@ from repro.mining.detector import detect
 from repro.model.colors import EColor
 from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig
-from repro.service.server import DetectionHTTPServer, ServiceLike
-from repro.service.sharding import ShardedDetectionService
+from repro.service.server import DetectionHTTPServer
 from repro.service.state import DetectionService
 
 
@@ -152,11 +151,7 @@ class _Daemon:
         config = ServiceConfig(
             state_dir=state_dir, port=0, fsync=True, shards=shards
         )
-        self.service: ServiceLike
-        if shards > 1:
-            self.service = ShardedDetectionService.open(tpiin, config)
-        else:
-            self.service = DetectionService.open(tpiin, config)
+        self.service = DetectionService.open(tpiin, config)
         self.server = DetectionHTTPServer((config.host, config.port), self.service)
         if seed_transport:
             # Reproduce the previous revision's transport: Nagle left
@@ -243,7 +238,7 @@ def drive_batch(
     return LoadResult(ops=len(ops), elapsed_seconds=elapsed, latencies_ms=latencies)
 
 
-def result_signature(service: ServiceLike) -> tuple[frozenset, int]:
+def result_signature(service: DetectionService) -> tuple[frozenset, int]:
     result = service.result()
     return frozenset(g.key() for g in result.groups), service.arc_count()
 
@@ -424,9 +419,9 @@ def main(argv: list[str] | None = None) -> int:
         "ratios": ratios,
         "agreement": "all configs matched batch parallel-engine detect",
         "notes": (
-            "seed_single_shard is the previous revision's daemon as "
-            "shipped (single shard, per-request fsync, no TCP_NODELAY; "
-            "Nagle + delayed ACK stalls every response ~40 ms) — the "
+            "seed_single_shard is a one-shard daemon over the transport "
+            "without TCP_NODELAY (Nagle + delayed ACK stalls every "
+            "response ~40 ms) — the "
             "headline sharded ratio is measured against it.  This host "
             "has ONE CPU core and a ~0.2 ms fsync, so same-transport "
             "sharded vs single_arc converges on the GIL/transport "

@@ -11,7 +11,12 @@ contract at every step:
 3. SIGTERM the daemon and check it drains with exit code 0;
 4. restart on the same state dir and check `/result` is unchanged;
 5. SIGKILL it mid-stream — no drain, no goodbye — restart, and check
-   the write-ahead log replays to exactly the acknowledged state.
+   the write-ahead log replays to exactly the acknowledged state;
+6. stream twice `--snapshot-every` updates so the daemon compacts on
+   the last one (leaving an empty WAL), SIGTERM, restart, acknowledge
+   one more update, SIGTERM, restart, and check that update survived
+   (a post-compaction restart must not reuse sequence numbers the
+   snapshot already covers).
 
 CI runs this script; it exits non-zero on any violated expectation.
 
@@ -19,6 +24,8 @@ Run:  python examples/serve_demo.py [--companies 120] [--seed 7]
 """
 
 import argparse
+import atexit
+import itertools
 import signal
 import subprocess
 import sys
@@ -29,6 +36,9 @@ from repro.datagen import ProvinceConfig, generate_province
 from repro.io.edge_list_io import write_tpiin_csv
 from repro.mining.detector import detect
 from repro.service import ServiceClient
+
+
+SNAPSHOT_EVERY = 8
 
 
 def boot_daemon(arcs: Path, nodes: Path, state_dir: Path) -> tuple[subprocess.Popen, ServiceClient]:
@@ -47,12 +57,14 @@ def boot_daemon(arcs: Path, nodes: Path, state_dir: Path) -> tuple[subprocess.Po
             "--state-dir",
             str(state_dir),
             "--snapshot-every",
-            "8",
+            str(SNAPSHOT_EVERY),
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
+    # A failed check exits mid-run; never leave its daemon behind.
+    atexit.register(stop_if_running, process)
     banner = process.stdout.readline()  # "serving on http://host:port (...)"
     if "serving on " not in banner:
         process.kill()
@@ -61,6 +73,12 @@ def boot_daemon(arcs: Path, nodes: Path, state_dir: Path) -> tuple[subprocess.Po
     client = ServiceClient(url)
     client.wait_until_healthy()
     return process, client
+
+
+def stop_if_running(process: subprocess.Popen) -> None:
+    if process.poll() is None:
+        process.kill()
+        process.wait()
 
 
 def check(condition: bool, label: str) -> None:
@@ -145,6 +163,45 @@ def main(argv: list[str] | None = None) -> int:
         check(
             replayed["total_trading_arcs"] == acknowledged["total_trading_arcs"],
             "arc count survived the crash",
+        )
+
+        print(f"compact: stream {2 * SNAPSHOT_EVERY} updates, then SIGTERM")
+        companies = sorted(map(str, tpiin.companies()))
+        absent = (
+            (s, b)
+            for s, b in itertools.permutations(companies, 2)
+            if not client.arc(s, b)["present"]
+        )
+        applied = 0
+        for seller, buyer in itertools.islice(absent, SNAPSHOT_EVERY):
+            applied += client.add_arc(seller, buyer)["applied"]
+            applied += client.remove_arc(seller, buyer)["applied"]
+        check(applied == 2 * SNAPSHOT_EVERY, f"{applied} updates acknowledged")
+        check(client.metrics()["snapshots_written"] == 2, "daemon compacted twice")
+        process.send_signal(signal.SIGTERM)
+        check(process.wait(timeout=30) == 0, "daemon drained with exit code 0")
+
+        print("boot #4: recover from the snapshot, acknowledge one update")
+        process, client = boot_daemon(arcs, nodes, state_dir)
+        health = client.healthz()
+        check(health["recovered_from_snapshot"], "recovery started from the snapshot")
+        check(health["recovered_records"] == 0, "the last compaction left nothing to replay")
+        before = client.result()["total_trading_arcs"]
+        fresh = next(
+            (s, b)
+            for s, b in itertools.permutations(companies, 2)
+            if not client.arc(s, b)["present"]
+        )
+        check(client.add_arc(*fresh)["applied"], f"added new arc {fresh[0]}->{fresh[1]}")
+        process.send_signal(signal.SIGTERM)
+        check(process.wait(timeout=30) == 0, "daemon drained with exit code 0")
+
+        print("boot #5: the post-restart update survived")
+        process, client = boot_daemon(arcs, nodes, state_dir)
+        check(client.arc(*fresh)["present"], "arc acknowledged after the restart is present")
+        check(
+            client.result()["total_trading_arcs"] == before + 1,
+            "arc count includes the post-restart update",
         )
 
         process.send_signal(signal.SIGTERM)

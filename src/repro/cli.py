@@ -36,6 +36,7 @@ from repro.datagen.config import PAPER_TRADING_PROBABILITIES, ProvinceConfig
 from repro.datagen.province import generate_province
 from repro.detectors.registry import ALL_DETECTORS
 from repro.detectors.runner import run_detectors
+from repro.errors import ReproError
 from repro.fusion.tpiin import TPIIN
 from repro.io.edge_list_io import read_tpiin_csv, write_tpiin_csv
 from repro.io.registry_io import load_registry_csvs
@@ -46,8 +47,7 @@ from repro.mining.detector import IAT_DETECTOR_NAME, detect
 from repro.mining.options import DetectOptions, Engine
 from repro.obs.profile import render_profile
 from repro.service.config import ServiceConfig
-from repro.service.server import DetectionHTTPServer, ServiceLike, serve
-from repro.service.sharding import ShardedDetectionService
+from repro.service.server import DetectionHTTPServer, serve
 from repro.service.state import DetectionService
 
 __all__ = ["main", "build_parser"]
@@ -337,11 +337,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ingest_queue_limit=args.queue_limit,
         group_commit_max=args.group_commit_max,
     )
-    service: ServiceLike
-    if config.shards > 1:
-        service = ShardedDetectionService.open(tpiin, config)
-    else:
-        service = DetectionService.open(tpiin, config)
+    service = DetectionService.open(tpiin, config)
     server = DetectionHTTPServer((config.host, config.port), service)
     host, port = server.server_address[:2]
     print(
@@ -366,8 +362,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a typed failure is one stderr line, exit 1."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

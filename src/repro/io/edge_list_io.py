@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import TextIO
 
 from repro.errors import SerializationError
 from repro.fusion.tpiin import TPIIN
@@ -39,11 +40,19 @@ def write_edge_list_csv(edge_list: EdgeList, path: str | Path) -> Path:
     return path
 
 
+def _open_csv(path: Path) -> TextIO:
+    """Open an input CSV; a missing or unreadable file is a typed error."""
+    try:
+        return path.open(newline="")
+    except OSError as exc:
+        raise SerializationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def read_edge_list_csv(path: str | Path) -> EdgeList:
     """Read an arc CSV back into an :class:`EdgeList`."""
     path = Path(path)
     rows: list[tuple[str, str, int]] = []
-    with path.open(newline="") as handle:
+    with _open_csv(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["start", "end", "color"]:
@@ -96,7 +105,7 @@ def read_tpiin_csv(arc_path: str | Path, node_path: str | Path) -> TPIIN:
     edge_list = read_edge_list_csv(arc_path)
     node_path = Path(node_path)
     colors: dict[str, VColor] = {}
-    with node_path.open(newline="") as handle:
+    with _open_csv(node_path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["node", "color"]:

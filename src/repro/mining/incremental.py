@@ -251,12 +251,6 @@ class IncrementalDetector:
         indexing and initial-stream ingest); defaults to the null
         tracer.  Long-lived callers (the daemon) trace per-mutation
         with their own tracers instead.
-    ingest_baseline:
-        With ``False`` the TPIIN's own trading arcs (and recorded
-        intra-SCS trades) are *not* ingested at construction — the
-        caller owns the initial stream.  The sharded service uses this:
-        each shard detector starts empty and receives only the arcs its
-        component partition owns.
     share_antecedent_from:
         An existing detector over the *same* TPIIN whose immutable
         antecedent indexes (root-ancestor bitsets, frozen influence
@@ -274,7 +268,6 @@ class IncrementalDetector:
         collect_groups: bool = True,
         max_cached_roots: int | None = 4096,
         tracer: TracerLike = NULL_TRACER,
-        ingest_baseline: bool = True,
         share_antecedent_from: "IncrementalDetector | None" = None,
     ) -> None:
         if max_cached_roots is not None and max_cached_roots < 1:
@@ -349,16 +342,15 @@ class IncrementalDetector:
         self._complex = 0
         self._kinds: Counter[GroupKind] = Counter()
 
-        if ingest_baseline:
-            with tracer.span("ingest") as ingest_span:
-                for arc in tpiin.trading_arcs():
-                    self.add_trading_arc(*arc)
-                for arc in tpiin.intra_scs_trades:
-                    self.add_trading_arc(*arc)
-                if tracer.enabled:
-                    ingest_span.set(
-                        arcs=len(self._arcs), suspicious=len(self.suspicious_arcs)
-                    )
+        with tracer.span("ingest") as ingest_span:
+            for arc in tpiin.trading_arcs():
+                self.add_trading_arc(*arc)
+            for arc in tpiin.intra_scs_trades:
+                self.add_trading_arc(*arc)
+            if tracer.enabled:
+                ingest_span.set(
+                    arcs=len(self._arcs), suspicious=len(self.suspicious_arcs)
+                )
 
     # ------------------------------------------------------------------
     # stream operations

@@ -14,7 +14,6 @@ from repro.service.locks import ReadWriteLock
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import DetectionHTTPServer, serve
 from repro.service.shard import ShardWorker
-from repro.service.sharding import ShardedDetectionService
 from repro.service.snapshot import Snapshot, read_snapshot, write_snapshot
 from repro.service.state import ArcStatus, DetectionService
 from repro.service.wal import (
@@ -38,7 +37,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceMetrics",
     "ShardWorker",
-    "ShardedDetectionService",
     "Snapshot",
     "WALRecord",
     "WriteAheadLog",

@@ -16,7 +16,8 @@ from repro.errors import ServiceError
 
 __all__ = ["ServiceConfig"]
 
-#: On-disk file names inside ``state_dir``.
+#: File names the retired single-lock service used inside
+#: ``state_dir``; the service refuses a directory that holds them.
 _WAL_FILENAME = "wal.jsonl"
 _SNAPSHOT_FILENAME = "snapshot.json"
 
@@ -52,11 +53,11 @@ class ServiceConfig:
         How many recent mutation span trees to keep for
         ``GET /v1/trace/{subtpiin}``; ``0`` disables mutation tracing.
     shards:
-        How many component-sharded workers the sharded service runs.
-        Each shard owns the state, WAL and incremental detector of a
+        How many component-sharded workers the service runs.  Each
+        shard owns the state, WAL and incremental detector of a
         disjoint set of weakly connected antecedent components; ``1``
-        keeps one worker but still uses the queued group-commit ingest
-        pipeline.  Ignored by the single-lock :class:`DetectionService`.
+        keeps one worker, which still runs the queued group-commit
+        ingest pipeline.
     ingest_queue_limit:
         Bound on each shard's pending single-arc ingest queue.  A full
         queue sheds the request with HTTP ``429`` + ``Retry-After``
@@ -111,10 +112,12 @@ class ServiceConfig:
 
     @property
     def wal_path(self) -> Path:
+        """The single-lock service's WAL (legacy; see ``shard_wal_path``)."""
         return self.state_dir / _WAL_FILENAME
 
     @property
     def snapshot_path(self) -> Path:
+        """The single-lock service's snapshot (legacy)."""
         return self.state_dir / _SNAPSHOT_FILENAME
 
     def shard_wal_path(self, shard: int) -> Path:

@@ -19,9 +19,11 @@ Permanent Redirect`` to their ``/v1`` twin so old clients keep working
 ``GET  /v1/trace/{subtpiin}``              recent mutation span trees
 =========================================  =====================================
 
-Concurrency is bounded by the service's single-writer/multi-reader lock:
-HTTP worker threads carry requests concurrently, but mutations serialize
-at the state layer, never in the transport.  The server keeps
+Concurrency is bounded at the state layer, never in the transport: HTTP
+worker threads carry requests concurrently, the service routes each
+mutation to the shard that owns its component (one writer per shard,
+behind a bounded queue that sheds with 429), and queries read every
+shard under shared locks.  The server keeps
 ``daemon_threads = False`` so ``server_close()`` joins in-flight workers
 — a SIGTERM drains cleanly instead of tearing mid-response.
 """
@@ -41,14 +43,10 @@ from repro.errors import BackpressureError, MiningError, ServiceError
 from repro.io.registry_io import parse_arc_ndjson
 from repro.io.results_io import detection_to_dict, group_to_dict
 from repro.mining.incremental import ArcUpdate
-from repro.service.sharding import ShardedDetectionService
 from repro.service.state import DetectionService
 from repro.service.wal import OP_ADD, OP_REMOVE
 
-__all__ = ["DetectionHTTPServer", "ServiceLike", "serve"]
-
-#: Either service flavor; the transport only uses their shared surface.
-ServiceLike = DetectionService | ShardedDetectionService
+__all__ = ["DetectionHTTPServer", "serve"]
 
 _logger = logging.getLogger("repro.service")
 
@@ -83,7 +81,7 @@ class DetectionHTTPServer(ThreadingHTTPServer):
     block_on_close = True
     allow_reuse_address = True
 
-    def __init__(self, address: tuple[str, int], service: ServiceLike) -> None:
+    def __init__(self, address: tuple[str, int], service: DetectionService) -> None:
         super().__init__(address, _DetectionRequestHandler)
         self.service = service
 
@@ -104,7 +102,7 @@ class _DetectionRequestHandler(BaseHTTPRequestHandler):
     timeout = 1.0
 
     @property
-    def service(self) -> ServiceLike:
+    def service(self) -> DetectionService:
         return cast(DetectionHTTPServer, self.server).service
 
     # ------------------------------------------------------------------

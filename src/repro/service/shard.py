@@ -32,6 +32,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from collections.abc import Callable, Sequence
+from typing import cast
 
 from repro.errors import BackpressureError, MiningError, ServiceError
 from repro.mining.detector import DetectionResult
@@ -142,7 +143,6 @@ class ShardWorker:
         on_applied: Callable[[str, str, str], None],
         forward: Callable[[PendingMutation], None],
         on_trace: Callable[[tuple[int, ...], dict[str, object]], None] | None = None,
-        start: bool = True,
     ) -> None:
         self.index = index
         self._detector = detector
@@ -165,10 +165,7 @@ class ShardWorker:
         self._thread = threading.Thread(
             target=self._run, name=f"repro-shard-{index}", daemon=False
         )
-        self._started = False
-        if start:
-            self._thread.start()
-            self._started = True
+        self._thread.start()
 
     # ------------------------------------------------------------------
     # admission (HTTP threads)
@@ -267,8 +264,11 @@ class ShardWorker:
         return taken
 
     def _commit_group(self, group: list[PendingMutation]) -> None:
+        ops = [(pending.op, pending.seller, pending.buyer) for pending in group]
         with self._lock.write():
-            outcomes, traces = self._apply_group_locked(group)
+            outcomes, traces = self._apply_group_locked(
+                ops, trace=self._trace_mutations
+            )
         for payload in traces:
             if self._on_trace is not None:
                 self._on_trace(payload[0], payload[1])
@@ -286,12 +286,13 @@ class ShardWorker:
                 pending.resolve(outcome)
 
     def _apply_group_locked(
-        self, group: Sequence[PendingMutation]
+        self, ops: Sequence[tuple[str, str, str]], *, trace: bool
     ) -> tuple[
         "list[ArcUpdate | BaseException | None]",
         list[tuple[tuple[int, ...], dict[str, object]]],
     ]:
-        """Apply a group under the write lock with one fsync at the end.
+        """Apply ``(op, seller, buyer)`` tuples under the write lock with
+        one fsync at the end; ``trace`` records a span tree per mutation.
 
         ``None`` outcomes mark entries to forward to their owning shard.
         The WAL sync is the group-commit barrier: no caller observes a
@@ -300,43 +301,34 @@ class ShardWorker:
         outcomes: list[ArcUpdate | BaseException | None] = []
         traces: list[tuple[tuple[int, ...], dict[str, object]]] = []
         appended = False
-        for pending in group:
-            key = (pending.seller, pending.buyer)
-            owner = self._owner_of(key)
+        for op, seller, buyer in ops:
+            owner = self._owner_of((seller, buyer))
             if owner is not None and owner != self.index:
                 outcomes.append(None)
                 continue
-            tracer: TracerLike = Tracer() if self._trace_mutations else NULL_TRACER
+            tracer: TracerLike = Tracer() if trace else NULL_TRACER
             try:
                 with tracer.span("mutation") as span:
                     with tracer.span("apply"):
-                        if pending.op == OP_ADD:
-                            update = self._detector.add_trading_arc(
-                                pending.seller, pending.buyer
-                            )
+                        if op == OP_ADD:
+                            update = self._detector.add_trading_arc(seller, buyer)
                         else:
-                            update = self._detector.remove_trading_arc(
-                                pending.seller, pending.buyer
-                            )
+                            update = self._detector.remove_trading_arc(seller, buyer)
                     if update.applied:
                         with tracer.span("wal_append"):
                             self._wal.append(  # reprolint: disable=R014
-                                pending.op,
-                                pending.seller,
-                                pending.buyer,
-                                seq=self._next_seq(),
-                                sync=False,
+                                op, seller, buyer, seq=self._next_seq(), sync=False
                             )
                         appended = True
                         self._ops_since_snapshot += 1
-                        self._on_applied(pending.op, pending.seller, pending.buyer)
+                        self._on_applied(op, seller, buyer)
                         self._metrics.count_wal_append()
-                        self._metrics.count_arc_applied(pending.op)
+                        self._metrics.count_arc_applied(op)
                     if tracer.enabled:
                         span.set(
-                            op=pending.op,
-                            seller=pending.seller,
-                            buyer=pending.buyer,
+                            op=op,
+                            seller=seller,
+                            buyer=buyer,
                             shard=self.index,
                             applied=update.applied,
                             suspicious=update.suspicious,
@@ -347,16 +339,14 @@ class ShardWorker:
                 continue
             outcomes.append(update)
             if record is not None:
-                components = self._components_of_locked(
-                    pending.seller, pending.buyer
-                )
+                components = self._components_of_locked(seller, buyer)
                 traces.append(
                     (
                         components,
                         {
                             "subtpiins": list(components),
-                            "op": pending.op,
-                            "arc": [pending.seller, pending.buyer],
+                            "op": op,
+                            "arc": [seller, buyer],
                             "shard": self.index,
                             "trace": record.to_dict(),
                         },
@@ -401,14 +391,12 @@ class ShardWorker:
         body *is* the batch) but shares the same group-commit critical
         section, so batch and queued traffic serialize per shard and
         interleave freely across shards.  ``None`` outcomes mark ops
-        owned by another shard; the router re-dispatches those.
+        owned by another shard; the router re-dispatches those.  Batch
+        lines are not traced: one request would flush the recent-trace
+        ring many times over, and the spans cost more than the apply.
         """
-        group = [PendingMutation(op, seller, buyer) for op, seller, buyer in ops]
         with self._lock.write():
-            outcomes, traces = self._apply_group_locked(group)
-        for payload in traces:
-            if self._on_trace is not None:
-                self._on_trace(payload[0], payload[1])
+            outcomes, _ = self._apply_group_locked(ops, trace=False)
         return outcomes
 
     # ------------------------------------------------------------------
@@ -458,10 +446,7 @@ class ShardWorker:
     def _compact_locked(self) -> Snapshot:
         snapshot = Snapshot(
             last_seq=self._wal.last_seq,
-            arcs=tuple(
-                (str(seller), str(buyer))
-                for seller, buyer in self._detector.trading_arcs()
-            ),
+            arcs=cast("tuple[tuple[str, str], ...]", tuple(self._detector.trading_arcs())),
         )
         # Snapshot write and WAL truncation must be atomic with respect
         # to mutations: a write between them would be lost on recovery.
@@ -527,18 +512,12 @@ class ShardWorker:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Start the worker thread (tests construct with ``start=False``)."""
-        if not self._started:
-            self._thread.start()
-            self._started = True
-
     def stop(self) -> None:
         """Stop accepting work and drain: every accepted entry commits."""
         with self._q_cond:
             self._stopping = True
             self._q_cond.notify_all()
-        if self._started and self._thread.is_alive():
+        if self._thread.is_alive():
             self._thread.join()
 
     def close(self) -> None:

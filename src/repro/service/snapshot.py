@@ -41,14 +41,20 @@ def write_snapshot(path: str | Path, snapshot: Snapshot) -> Path:
     """Atomically persist ``snapshot`` at ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "format": _SNAPSHOT_FORMAT,
-        "last_seq": snapshot.last_seq,
-        "arcs": [[seller, buyer] for seller, buyer in snapshot.arcs],
-    }
+    # One ``dumps`` call runs the C encoder (``json.dump`` to a file
+    # takes the pure-Python path); the arcs tuple encodes as nested
+    # arrays without a list-of-lists copy.
+    text = json.dumps(
+        {
+            "format": _SNAPSHOT_FORMAT,
+            "last_seq": snapshot.last_seq,
+            "arcs": snapshot.arcs,
+        },
+        separators=(",", ":"),
+    )
     tmp = path.with_suffix(path.suffix + ".tmp")
     with tmp.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"))
+        handle.write(text)
         handle.write("\n")
         handle.flush()
         os.fsync(handle.fileno())

@@ -1,30 +1,47 @@
-"""The daemon's state machine: detector + WAL + snapshots + locking.
+"""The daemon's state machine: router + shards + merges.
 
 :class:`DetectionService` is the transport-agnostic core of the serving
-daemon.  It loads a TPIIN once, wraps an
-:class:`~repro.mining.incremental.IncrementalDetector` over the (warm,
-immutable) antecedent indexes, and funnels every mutation through a
-single-writer/multi-reader lock and a write-ahead log:
+daemon.  It splits the streamed state into N
+:class:`~repro.service.shard.ShardWorker` partitions (``N = 1`` by
+default), each owning a disjoint set of weakly connected antecedent
+components with its own incremental detector, write-ahead log and
+snapshot — sound because detection is arc-decomposable (a suspicious
+group contains exactly one trading arc, so an arc's groups depend only
+on that arc and the static antecedent network, never on arcs
+elsewhere).  A thin router consistent-hashes each mutation onto its
+component cluster's *home* shard; queries fan out and merge.
 
-1. apply the update to the in-memory detector (validation happens here;
-   a rejected update never reaches the log);
-2. append the record to the WAL and flush it — only now is the update
-   *acknowledged*;
-3. every ``snapshot_every`` acknowledged updates, compact: write an
-   atomic snapshot of the live arc set and truncate the WAL.
+Placement is a locality policy, never a correctness invariant:
 
-Recovery (:meth:`DetectionService.open`) inverts the pipeline: start
-from the trading-free antecedent view, seed it with the snapshot's arcs
-(or, on first boot, the TPIIN's own trading arcs), then replay the WAL
-tail.  The crash-recovery property suite verifies the result is
-byte-identical (up to group ordering) to a batch ``detect`` over
-the surviving arc set.
+* the **ownership map** (arc key -> shard index) is authoritative — an
+  arc lives on exactly one shard, and every op on an existing arc
+  routes to its owner regardless of where hashing would put it today
+  (with one shard, which owns every arc, the map stays empty);
+* the **home** of a component cluster is a hash of the *minimum*
+  original component index in its union-find set, which makes the
+  mapping independent of union order and therefore stable across
+  recovery replays;
+* a trading arc that bridges two clusters homed on different shards
+  triggers a **merge**: a coordinator job rehomes the smaller-min
+  cluster's arcs onto the merged home (append the adds to the
+  destination WAL and sync *first*, then the removes to the source —
+  a crash can duplicate an arc, never lose one; recovery's dedupe pass
+  keeps a single deterministic copy).
+
+Every WAL record carries a globally allocated sequence number, so
+recovery merges the N shard logs into one deterministic replay order,
+and the allocator restarts above every WAL tail *and* every snapshot
+floor — an update acknowledged after a restart can never be mistaken
+for a record the snapshot already holds.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Sequence
+import threading
+from collections import Counter, deque
+from collections.abc import Callable, Iterator, Sequence
+from itertools import chain
+from typing import TypeVar, cast
 
 from repro.analysis.investigate import CompanyInvestigation, investigate_company
 from repro.detectors.registry import get_detector_registry
@@ -36,14 +53,93 @@ from repro.mining.detector import DetectionResult
 from repro.mining.groups import SuspiciousGroup
 from repro.mining.incremental import ArcUpdate, IncrementalDetector
 from repro.model.colors import EColor
-from repro.obs.tracing import NULL_TRACER, Tracer, TracerLike
+from repro.obs.tracing import Tracer
 from repro.service.config import ServiceConfig
 from repro.service.locks import ReadWriteLock
 from repro.service.metrics import ServiceMetrics
-from repro.service.snapshot import Snapshot, read_snapshot, write_snapshot
-from repro.service.wal import OP_ADD, OP_REMOVE, WriteAheadLog
+from repro.service.shard import PendingMutation, ShardWorker
+from repro.service.snapshot import Snapshot, read_snapshot
+from repro.service.wal import OP_ADD, OP_REMOVE, ReplayResult, WALRecord, WriteAheadLog
 
 __all__ = ["ArcStatus", "DetectionService"]
+
+#: Knuth's multiplicative hash constant; spreads small consecutive
+#: component indices across shards far better than a plain modulo.
+_HOME_MULTIPLIER = 2654435761
+
+_T = TypeVar("_T")
+
+
+def _home_of(min_component: int, shards: int) -> int:
+    """Shard index for the cluster whose minimum component index is given.
+
+    Depends only on the *minimum* original component index of the
+    merged set, which is invariant under the order unions happened in —
+    so runtime routing and recovery replay agree on every home.
+    """
+    return (min_component * _HOME_MULTIPLIER) % (2**32) % shards
+
+
+def _chunks(items: Sequence[_T], size: int) -> Iterator[Sequence[_T]]:
+    for start in range(0, len(items), size):
+        yield items[start : start + size]
+
+
+class _UnionFind:
+    """Union-by-size over component indices, tracking each set's minimum.
+
+    ``find`` deliberately does *not* path-compress: lookups happen under
+    the router's shared (read) lock from many threads, so they must not
+    mutate.  Union-by-size keeps trees logarithmic without compression.
+    """
+
+    __slots__ = ("_parent", "_size", "_min")
+
+    def __init__(self, count: int) -> None:
+        self._parent = list(range(count))
+        self._size = [1] * count
+        self._min = list(range(count))
+
+    def find(self, index: int) -> int:
+        while self._parent[index] != index:
+            index = self._parent[index]
+        return index
+
+    def min_of(self, index: int) -> int:
+        return self._min[self.find(index)]
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of ``a`` and ``b``; False if already together."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self._size[ra] < self._size[rb]:
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        self._size[ra] += self._size[rb]
+        self._min[ra] = min(self._min[ra], self._min[rb])
+        return True
+
+
+class _Plan:
+    """Routing verdict for one mutation."""
+
+    __slots__ = ("kind", "shard", "src", "dst", "src_root")
+
+    def __init__(
+        self,
+        kind: str,
+        *,
+        shard: int = 0,
+        src: int = 0,
+        dst: int = 0,
+        src_root: int = 0,
+    ) -> None:
+        self.kind = kind  # "enqueue" | "merge"
+        self.shard = shard
+        self.src = src
+        self.dst = dst
+        self.src_root = src_root
 
 
 class ArcStatus:
@@ -70,36 +166,50 @@ class ArcStatus:
 class DetectionService:
     """Long-lived, durable, concurrency-safe detection state.
 
-    Construct via :meth:`open` (which performs recovery) rather than
-    directly; the initializer wires already-recovered parts together.
+    N shard workers behind a consistent-hashing router; the HTTP server
+    and the CLI drive this one class.  Construct via :meth:`open`
+    (which performs recovery) rather than directly; the initializer
+    wires already-recovered parts together.
     """
 
-    #: Attributes that may only be touched under ``self._lock`` —
-    #: reads need at least the read lock, mutations the write lock.
-    #: Enforced flow-sensitively by reprolint R014.
-    _lock_guarded = frozenset(
-        {"_detector", "_wal", "_ops_since_snapshot", "_closed", "_recent_traces"}
-    )
+    #: Router state guarded by the routing lock (R014): the ownership
+    #: map and the component union-find.  Shard state lives inside the
+    #: workers, each under its own lock.
+    _lock_guarded = frozenset({"_ownership", "_union", "_closed"})
+    _lock_attr = "_route_lock"
 
     def __init__(
         self,
         tpiin: TPIIN,
-        detector: IncrementalDetector,
-        wal: WriteAheadLog,
+        view: TPIIN,
+        detectors: list[IncrementalDetector],
+        wals: list[WriteAheadLog],
         config: ServiceConfig,
         *,
+        union: _UnionFind,
+        ownership: dict[tuple[str, str], int],
+        next_seq_start: int,
         recovered_records: int = 0,
         recovered_from_snapshot: bool = False,
         healed_torn_tail: bool = False,
         recovery_trace: dict[str, object] | None = None,
     ) -> None:
         self._tpiin = tpiin
-        self._detector = detector
-        self._wal = wal
+        self._view = view
+        self._detectors = detectors
         self._config = config
-        self._lock = ReadWriteLock()
-        self._ops_since_snapshot = 0
+        self._route_lock = ReadWriteLock()
+        self._union = union
+        self._ownership = ownership
         self._closed = False
+        # Global sequence allocator; its own mutex so WAL stamping never
+        # contends with routing.
+        self._seq_lock = threading.Lock()
+        self._seq = next_seq_start
+        # Serializes cross-shard merges: with at most one multi-shard
+        # locker at a time (acquiring shard locks in index order), no
+        # lock-order cycle can form with the single-shard workers.
+        self._merge_mutex = threading.Lock()
         self.metrics = ServiceMetrics()
         self.metrics.count_wal_replay(recovered_records, torn_tail=healed_torn_tail)
         self.recovered_records = recovered_records
@@ -107,12 +217,29 @@ class DetectionService:
         self.healed_torn_tail = healed_torn_tail
         #: Span tree of the recovery that produced this service.
         self.recovery_trace = recovery_trace
-        # Recent per-mutation span trees keyed by the subTPIIN (component)
-        # indices they touched, newest last, for /v1/trace.
+        self._trace_lock = threading.Lock()
         self._recent_traces: deque[tuple[tuple[int, ...], dict[str, object]]] = deque(
             maxlen=max(1, config.recent_traces)
         )
         self._trace_mutations = config.recent_traces > 0
+        on_trace = self._record_trace if self._trace_mutations else None
+        self._shards = [
+            ShardWorker(
+                index,
+                detectors[index],
+                wals[index],
+                config,
+                self.metrics,
+                next_seq=self._allocate_seq,
+                owner_of=self._owner_lookup,
+                on_applied=self._applied_callback(index),
+                forward=self._forward,
+                on_trace=on_trace,
+            )
+            for index in range(config.shards)
+        ]
+        for index in range(config.shards):
+            self.metrics.set_queue_depth(index, 0, config.ingest_queue_limit)
 
     # ------------------------------------------------------------------
     # construction / recovery
@@ -121,83 +248,261 @@ class DetectionService:
     def open(cls, tpiin: TPIIN, config: ServiceConfig) -> "DetectionService":
         """Load (or initialize) durable state and return a ready service.
 
-        On first boot the TPIIN's own trading arcs (including recorded
-        intra-SCS trades) seed the stream.  On restart the snapshot and
-        WAL fully determine the arc set and the TPIIN only contributes
-        its antecedent network — so the same TPIIN file must be served
+        Recovery merges the per-shard WALs by global sequence and
+        replays each record onto the shard whose log held it, above a
+        per-shard snapshot floor.  On first boot (no snapshot, empty
+        WALs) the TPIIN's own trading arcs seed the stream, placed by a
+        *baseline-only* union pass so the placement is re-derivable on
+        any later restart.  On restart the snapshots and WALs fully
+        determine the arc set and the TPIIN only contributes its
+        antecedent network — so the same TPIIN file must be served
         across restarts (a mismatch surfaces as :class:`ServiceError`).
+        A crash mid-migration can leave an arc on two shards; the final
+        dedupe pass keeps the home copy (else the lowest shard index)
+        and logs a durable remove against the loser's WAL so the
+        duplicate cannot resurface later.
+
+        A state directory written by the retired single-lock core
+        (``wal.jsonl`` / ``snapshot.json``) raises :class:`ServiceError`
+        rather than being ignored, which would silently drop its arcs.
         """
         config.ensure_state_dir()
+        legacy = [p.name for p in (config.wal_path, config.snapshot_path) if p.exists()]
+        if legacy:
+            raise ServiceError(
+                f"{config.state_dir} holds state of the retired single-lock "
+                f"service ({', '.join(legacy)}); rename wal.jsonl to "
+                f"{config.shard_wal_path(0).name} and snapshot.json to "
+                f"{config.shard_snapshot_path(0).name}, then boot with one shard"
+            )
+        n = config.shards
         tracer = Tracer()
         with tracer.span("recovery") as recovery_span:
-            snapshot = read_snapshot(config.snapshot_path)
-            wal, replay = WriteAheadLog.open(config.wal_path, fsync=config.fsync)
-
+            view = tpiin.antecedent_view()
             with tracer.span("build_detector") as span:
-                detector = IncrementalDetector(
-                    tpiin.antecedent_view(),
+                # Shard 0 builds the antecedent indexes (bitsets, frozen
+                # CSR, component map) over the trading-free view; the
+                # others share them by reference and only stream
+                # independently.
+                base = IncrementalDetector(
+                    view,
                     collect_groups=config.collect_groups,
                     max_cached_roots=config.max_cached_roots,
                     tracer=tracer,
                 )
-                span.set(components=detector.component_count)
-
-            if snapshot is not None:
-                # The snapshot captures the complete live arc set (baseline
-                # included), so the TPIIN's own trading arcs are not re-read.
-                with tracer.span("seed_snapshot") as span:
-                    for seller, buyer in snapshot.arcs:
-                        cls._replay_apply(
-                            detector, OP_ADD, seller, buyer, source="snapshot"
+                detectors = [base]
+                for _ in range(1, n):
+                    detectors.append(
+                        IncrementalDetector(
+                            view,
+                            collect_groups=config.collect_groups,
+                            max_cached_roots=config.max_cached_roots,
+                            share_antecedent_from=base,
                         )
-                    span.set(arcs=len(snapshot.arcs))
-            else:
-                # No snapshot yet: the baseline is the TPIIN's trading arcs;
-                # the WAL (if any) holds only the deltas applied on top.
-                with tracer.span("seed_baseline") as span:
-                    seeded = 0
-                    for seller, buyer in tpiin.trading_arcs():
-                        detector.add_trading_arc(seller, buyer)
-                        seeded += 1
-                    for seller, buyer in tpiin.intra_scs_trades:
-                        detector.add_trading_arc(seller, buyer)
-                        seeded += 1
-                    span.set(arcs=seeded)
-
-            floor = snapshot.last_seq if snapshot is not None else 0
-            replayed = 0
-            with tracer.span("wal_replay") as span:
-                for record in replay.records:
-                    if record.seq <= floor:
-                        # Stale record from a crash between snapshot write
-                        # and WAL truncation; the snapshot has it already.
-                        continue
-                    cls._replay_apply(
-                        detector, record.op, record.seller, record.buyer, source="WAL"
                     )
-                    replayed += 1
-                span.set(replayed=replayed, torn_tail=replay.torn_tail)
+                span.set(components=base.component_count, shards=n)
+
+            snapshots = [read_snapshot(config.shard_snapshot_path(i)) for i in range(n)]
+            wals: list[WriteAheadLog] = []
+            replays = []
+            for i in range(n):
+                wal, replay = WriteAheadLog.open(
+                    config.shard_wal_path(i), fsync=config.fsync
+                )
+                wals.append(wal)
+                replays.append(replay)
+
+            floors = [s.last_seq if s is not None else 0 for s in snapshots]
+            from_snapshot = any(s is not None for s in snapshots)
+            union = _UnionFind(base.component_count)
+            replayed, seeded = cls._recover_state(
+                tpiin, base, detectors, snapshots, floors, replays, union, n, tracer
+            )
+            # The detectors now hold every snapshot arc: drop the parsed
+            # copies before the ownership map is built, so the two never
+            # peak together.
+            del snapshots
+            ownership, drops = (
+                cls._rebuild_ownership(base, detectors, union, n) if n > 1 else ({}, [])
+            )
+            next_seq = max([w.last_seq for w in wals] + floors) + 1
+            if drops:
+                # Make the dedupe durable: without a logged remove, the
+                # loser's WAL still says "present", and a later user
+                # remove (logged only on the owner) would resurrect the
+                # arc on the restart after next.
+                touched = set()
+                for shard_index, (seller, buyer) in drops:
+                    wals[shard_index].append(
+                        OP_REMOVE, seller, buyer, seq=next_seq, sync=False
+                    )
+                    next_seq += 1
+                    touched.add(shard_index)
+                for shard_index in sorted(touched):
+                    wals[shard_index].sync()
             recovery_span.set(
-                from_snapshot=snapshot is not None, replayed=replayed
+                from_snapshot=from_snapshot,
+                replayed=replayed,
+                seeded=seeded,
+                shards=n,
             )
             recovery_record = recovery_span.record
 
         return cls(
             tpiin,
-            detector,
-            wal,
+            view,
+            detectors,
+            wals,
             config,
+            union=union,
+            ownership=ownership,
+            next_seq_start=next_seq,
             recovered_records=replayed,
-            recovered_from_snapshot=snapshot is not None,
-            healed_torn_tail=replay.torn_tail,
+            recovered_from_snapshot=from_snapshot,
+            healed_torn_tail=any(r.torn_tail for r in replays),
             recovery_trace=(
                 recovery_record.to_dict() if recovery_record is not None else None
             ),
         )
 
+    @classmethod
+    def _recover_state(
+        cls,
+        tpiin: TPIIN,
+        base: IncrementalDetector,
+        detectors: list[IncrementalDetector],
+        snapshots: list[Snapshot | None],
+        floors: list[int],
+        replays: list[ReplayResult],
+        union: _UnionFind,
+        n: int,
+        tracer: Tracer,
+    ) -> tuple[int, int]:
+        """Seed the shard detectors and replay the merged WALs.
+
+        A lone shard is the home of every arc, so it tracks no
+        placement: the union-find, like the ownership map, stays empty.
+        """
+        track = n > 1
+        seeded = 0
+        with tracer.span("seed") as span:
+            for i in range(n):
+                snapshot = snapshots[i]
+                if snapshot is None:
+                    continue
+                for seller, buyer in snapshot.arcs:
+                    cls._recover_apply(
+                        detectors[i], OP_ADD, seller, buyer, source="snapshot"
+                    )
+                    if track:
+                        union.union(
+                            base.component_of(seller), base.component_of(buyer)
+                        )
+                seeded += len(snapshot.arcs)
+            if any(s is None for s in snapshots):
+                # Shards without a snapshot re-derive their baseline
+                # share.  Placement uses a union pass over the baseline
+                # arcs alone — never the WAL's merges — so the same
+                # arcs land on the same shards on every restart.  Both
+                # passes stream the TPIIN's arcs rather than copy them.
+                placement = _UnionFind(base.component_count)
+                if track:
+                    for seller, buyer in chain(
+                        tpiin.trading_arcs(), tpiin.intra_scs_trades
+                    ):
+                        placement.union(
+                            base.component_of(seller), base.component_of(buyer)
+                        )
+                for seller, buyer in chain(
+                    tpiin.trading_arcs(), tpiin.intra_scs_trades
+                ):
+                    home = (
+                        _home_of(placement.min_of(base.component_of(seller)), n)
+                        if track
+                        else 0
+                    )
+                    if snapshots[home] is not None:
+                        # This shard compacted: its snapshot already
+                        # accounts for the baseline share it kept.
+                        continue
+                    cls._recover_apply(
+                        detectors[home], OP_ADD, seller, buyer, source="baseline"
+                    )
+                    if track:
+                        union.union(
+                            base.component_of(seller), base.component_of(buyer)
+                        )
+                    seeded += 1
+            span.set(arcs=seeded)
+
+        merged: list[tuple[WALRecord, int]] = sorted(
+            ((record, i) for i in range(n) for record in replays[i].records),
+            key=lambda pair: pair[0].seq,
+        )
+        replayed = 0
+        with tracer.span("wal_replay") as span:
+            for record, i in merged:
+                if record.seq <= floors[i]:
+                    # Stale record from a crash between snapshot write
+                    # and WAL truncation; the snapshot has it already.
+                    continue
+                cls._recover_apply(
+                    detectors[i], record.op, record.seller, record.buyer, source="WAL"
+                )
+                if track and record.op == OP_ADD:
+                    union.union(
+                        base.component_of(record.seller),
+                        base.component_of(record.buyer),
+                    )
+                replayed += 1
+            span.set(replayed=replayed)
+        return replayed, seeded
+
     @staticmethod
-    def _replay_apply(
-        detector: IncrementalDetector, op: str, seller: str, buyer: str, *, source: str
+    def _rebuild_ownership(
+        base: IncrementalDetector,
+        detectors: list[IncrementalDetector],
+        union: _UnionFind,
+        n: int,
+    ) -> tuple[dict[tuple[str, str], int], list[tuple[int, tuple[str, str]]]]:
+        """Physical placement -> ownership map, deduping crash leftovers.
+
+        A crash between a migration's destination sync and source sync
+        leaves an arc on both shards.  The copy at the cluster's home
+        wins (else the lowest shard index); the loser is dropped from
+        memory here and reported back so the caller can log a durable
+        remove against its WAL (else the stale add would resurrect the
+        arc on a later restart).
+
+        One pass keys the map with the detectors' own arc tuples; only
+        keys found on more than one shard get a side list of holders.
+        """
+        ownership: dict[tuple[str, str], int] = {}
+        shared: dict[tuple[str, str], list[int]] = {}
+        for i in range(n):
+            for key in cast("list[tuple[str, str]]", detectors[i].trading_arcs()):
+                first = ownership.setdefault(key, i)
+                if first != i:
+                    shared.setdefault(key, [first]).append(i)
+        drops: list[tuple[int, tuple[str, str]]] = []
+        for key, owners in shared.items():
+            home = _home_of(union.min_of(base.component_of(key[0])), n)
+            keep = home if home in owners else min(owners)
+            for i in owners:
+                if i != keep:
+                    detectors[i].remove_trading_arc(*key)
+                    drops.append((i, key))
+            ownership[key] = keep
+        return ownership, drops
+
+    @staticmethod
+    def _recover_apply(
+        detector: IncrementalDetector,
+        op: str,
+        seller: str,
+        buyer: str,
+        *,
+        source: str,
     ) -> None:
         try:
             if op == OP_ADD:
@@ -213,168 +518,328 @@ class DetectionService:
             ) from exc
 
     # ------------------------------------------------------------------
-    # mutations (exclusive)
+    # routing plumbing (callbacks handed to the shard workers)
+    # ------------------------------------------------------------------
+    def _allocate_seq(self) -> int:
+        with self._seq_lock:
+            seq = self._seq
+            self._seq += 1
+            return seq
+
+    def _owner_lookup(self, key: tuple[str, str]) -> int | None:
+        if len(self._detectors) == 1:
+            return None  # a lone shard owns every arc; the map is empty
+        with self._route_lock.read():
+            return self._ownership.get(key)
+
+    def _applied_callback(self, shard: int) -> Callable[[str, str, str], None]:
+        def on_applied(op: str, seller: str, buyer: str) -> None:
+            self._note_applied(op, seller, buyer, shard)
+
+        return on_applied
+
+    def _note_applied(self, op: str, seller: str, buyer: str, shard: int) -> None:
+        """Ownership/union bookkeeping, inside the shard's critical section.
+
+        Updating ownership only while the owning shard's lock is held is
+        what prevents a stale router thread from overwriting a newer
+        placement.  During a migration the destination's add runs before
+        the source's remove, so the source may only *clear* an entry it
+        still owns.  A lone shard owns every arc and every home, so it
+        has nothing to record.
+        """
+        if len(self._detectors) == 1:
+            return
+        key = (seller, buyer)
+        if op == OP_ADD:
+            try:
+                c1 = self._detectors[0].component_of(seller)
+                c2 = self._detectors[0].component_of(buyer)
+            except MiningError:  # pragma: no cover - applied arcs resolve
+                c1 = c2 = -1
+            with self._route_lock.write():
+                self._ownership[key] = shard
+                if c1 >= 0 and c1 != c2:
+                    self._union.union(c1, c2)
+        else:
+            with self._route_lock.write():
+                if self._ownership.get(key) == shard:
+                    del self._ownership[key]
+
+    def _forward(self, entry: PendingMutation) -> None:
+        """Re-enqueue a mutation whose arc a merge rehomed after routing."""
+        key = (entry.seller, entry.buyer)
+        with self._route_lock.read():
+            owner = self._ownership.get(key)
+        target = owner if owner is not None else self._home_shard_for(entry.seller)
+        self._shards[target].enqueue(entry)
+
+    def _record_trace(
+        self, components: tuple[int, ...], payload: dict[str, object]
+    ) -> None:
+        with self._trace_lock:
+            self._recent_traces.append((components, payload))
+
+    def _home_rlocked(self, root: int) -> int:
+        return _home_of(self._union.min_of(root), self._config.shards)
+
+    def _home_shard_for(self, node: str) -> int:
+        try:
+            component = self._detectors[0].component_of(node)
+        except MiningError:
+            return 0
+        with self._route_lock.read():
+            return self._home_rlocked(self._union.find(component))
+
+    # ------------------------------------------------------------------
+    # mutations
     # ------------------------------------------------------------------
     def add_arc(self, seller: str, buyer: str) -> ArcUpdate:
         """Add a trading arc; returns the verdict with proof-chain groups."""
-        return self._mutate(OP_ADD, seller, buyer)
+        return self._dispatch(OP_ADD, str(seller), str(buyer))
 
     def remove_arc(self, seller: str, buyer: str) -> ArcUpdate:
         """Retract a trading arc (e.g. a corrected filing)."""
-        return self._mutate(OP_REMOVE, seller, buyer)
+        return self._dispatch(OP_REMOVE, str(seller), str(buyer))
 
-    def _mutate(self, op: str, seller: str, buyer: str) -> ArcUpdate:
-        with self._lock.write():
-            self._ensure_open_locked()
-            tracer: TracerLike = Tracer() if self._trace_mutations else NULL_TRACER
-            with tracer.span("mutation") as span:
-                with tracer.span("apply"):
-                    if op == OP_ADD:
-                        update = self._detector.add_trading_arc(seller, buyer)
-                    else:
-                        update = self._detector.remove_trading_arc(seller, buyer)
-                if update.applied:
-                    # The append must stay inside the critical section: an
-                    # update is acknowledged only once durable, and WAL order
-                    # must match detector apply order.
-                    with tracer.span("wal_append"):
-                        self._wal.append(op, str(seller), str(buyer))  # reprolint: disable=R014
-                    self.metrics.count_wal_append()
-                    self.metrics.count_arc_applied(op)
-                    self._ops_since_snapshot += 1
-                    if self._ops_since_snapshot >= self._config.snapshot_every:
-                        self._compact_locked()
-                if tracer.enabled:
-                    span.set(
-                        op=op,
-                        seller=str(seller),
-                        buyer=str(buyer),
-                        applied=update.applied,
-                        suspicious=update.suspicious,
+    def _dispatch(self, op: str, seller: str, buyer: str) -> ArcUpdate:
+        self._ensure_open()
+        plan = self._plan(op, (seller, buyer))
+        if plan.kind == "enqueue":
+            return self._shards[plan.shard].submit(op, seller, buyer).wait()
+        # Cross-shard merge: run as a coordinator job on the source
+        # shard's queue so it executes at its FIFO position there.
+        job = self._shards[plan.src].submit_job(
+            lambda: self._run_merge(seller, buyer)
+        )
+        return job.wait()
+
+    def _plan(self, op: str, key: tuple[str, str]) -> _Plan:
+        """Route one mutation: to its owner, its home, or into a merge."""
+        if len(self._detectors) == 1:
+            return _Plan("enqueue", shard=0)  # every arc's owner and home
+        seller, buyer = key
+        with self._route_lock.read():
+            owner = self._ownership.get(key)
+        if owner is not None:
+            return _Plan("enqueue", shard=owner)
+        try:
+            c1 = self._detectors[0].component_of(seller)
+            c2 = self._detectors[0].component_of(buyer)
+        except MiningError:
+            # Unknown endpoint: let shard 0's detector produce the
+            # error verdict (surfaced as HTTP 400).
+            return _Plan("enqueue", shard=0)
+        with self._route_lock.read():
+            r1, r2 = self._union.find(c1), self._union.find(c2)
+            h1, h2 = self._home_rlocked(r1), self._home_rlocked(r2)
+            if op != OP_ADD or r1 == r2 or h1 == h2:
+                return _Plan("enqueue", shard=h1)
+            # The new arc bridges clusters homed on different shards:
+            # rehome the cluster whose min loses onto the merged home.
+            if self._union.min_of(r1) <= self._union.min_of(r2):
+                return _Plan("merge", src=h2, dst=h1, src_root=r2)
+            return _Plan("merge", src=h1, dst=h2, src_root=r1)
+
+    def _run_merge(self, seller: str, buyer: str) -> ArcUpdate:
+        """Coordinate a cross-shard merge (caller holds no locks).
+
+        Serialized by the merge mutex, then re-planned from scratch:
+        between routing and execution another merge (or a concurrent
+        duplicate add) may have changed the picture, in which case this
+        degenerates to a plain locked apply at the current owner/home.
+        """
+        with self._merge_mutex:
+            key = (seller, buyer)
+            with self._route_lock.read():
+                owner = self._ownership.get(key)
+            if owner is not None:
+                return self._apply_on(owner, seller, buyer)
+            plan = self._plan(OP_ADD, key)
+            if plan.kind == "enqueue":
+                return self._apply_on(plan.shard, seller, buyer)
+            lo, hi = sorted((plan.src, plan.dst))
+            with self._shards[lo].lock.write():
+                with self._shards[hi].lock.write():
+                    return self._merge_under_shard_locks(
+                        plan.src, plan.dst, plan.src_root, seller, buyer
                     )
-                record = span.record
-            if record is not None:
-                components = self._components_of_locked(seller, buyer)
-                self._recent_traces.append(
-                    (
-                        components,
-                        {
-                            "subtpiins": list(components),
-                            "op": op,
-                            "arc": [str(seller), str(buyer)],
-                            "trace": record.to_dict(),
-                        },
-                    )
-                )
-            return update
 
-    def _components_of_locked(self, seller: str, buyer: str) -> tuple[int, ...]:
-        components = set()
-        for node in (seller, buyer):
-            try:
-                components.add(self._detector.component_of(node))
-            except MiningError:
-                continue
-        return tuple(sorted(components))
+    def _apply_on(self, shard_index: int, seller: str, buyer: str) -> ArcUpdate:
+        """Directly apply one add under a single shard's write lock."""
+        shard = self._shards[shard_index]
+        with shard.lock.write():
+            update = shard.add_arc_locked(seller, buyer)
+            if update.applied:
+                shard.sync_wal_locked()
+            shard.maybe_compact_locked()
+        return update
 
+    def _merge_under_shard_locks(
+        self, src_i: int, dst_i: int, src_root: int, seller: str, buyer: str
+    ) -> ArcUpdate:
+        """Rehome the source cluster, then apply the triggering arc.
+
+        Caller holds both shards' write locks (acquired in index order)
+        and the merge mutex.  Durability order: destination adds sync
+        before source removes — a crash in between duplicates arcs
+        (recovery dedupes), it never loses an acknowledged one.
+        """
+        src, dst = self._shards[src_i], self._shards[dst_i]
+        with self._route_lock.read():
+            moving = [
+                arc
+                for arc in src.trading_arcs_locked()
+                if self._union.find(self._detectors[0].component_of(arc[0]))
+                == src_root
+            ]
+        for s, b in moving:
+            dst.add_arc_locked(s, b)
+        if moving:
+            dst.sync_wal_locked()
+        for s, b in moving:
+            src.remove_arc_locked(s, b)
+        if moving:
+            src.sync_wal_locked()
+        update = dst.add_arc_locked(seller, buyer)
+        if update.applied:
+            dst.sync_wal_locked()
+        src.maybe_compact_locked()
+        dst.maybe_compact_locked()
+        if moving:
+            self.metrics.count_migration(len(moving))
+        return update
+
+    # ------------------------------------------------------------------
+    # NDJSON batch ingest
+    # ------------------------------------------------------------------
     def apply_batch(self, lines: Sequence[ArcLine]) -> list[dict[str, object]]:
         """Apply parsed NDJSON lines; one report entry per line, in order.
 
-        The single-shard counterpart of the sharded service's bulk
-        ingest: lines are applied in chunks of ``group_commit_max``,
-        each chunk one write-lock hold with one WAL flush+fsync at the
-        end — the same group-commit discipline, so acknowledgement
-        still implies durability while the fsync cost amortizes across
-        the chunk.
+        Lines are routed in a single sequential pass with a batch-local
+        overlay (two lines naming the same arc always land on the same
+        shard, preserving their relative order), buffered per shard,
+        and flushed in parallel — one write-lock hold and one fsync per
+        ``group_commit_max`` chunk.  A line that triggers a cross-shard
+        merge first flushes every buffer, then merges inline.
         """
-        report: list[dict[str, object]] = []
-        chunk_size = max(1, self._config.group_commit_max)
-        for start in range(0, len(lines), chunk_size):
-            chunk = lines[start : start + chunk_size]
-            with self._lock.write():
-                self._ensure_open_locked()
-                appended = False
-                for line in chunk:
+        self._ensure_open()
+        report: dict[int, dict[str, object]] = {}
+        buffers: dict[int, list[ArcLine]] = {i: [] for i in range(len(self._shards))}
+        overlay: dict[tuple[str, str], int] = {}
+        for line in lines:
+            key = (line.seller, line.buyer)
+            target = overlay.get(key)
+            if target is None:
+                plan = self._plan(line.op, key)
+                if plan.kind == "merge":
+                    self._flush_buffers(buffers, report, overlay)
                     try:
-                        if line.op == OP_ADD:
-                            update = self._detector.add_trading_arc(
-                                line.seller, line.buyer
-                            )
-                        else:
-                            update = self._detector.remove_trading_arc(
-                                line.seller, line.buyer
-                            )
-                    except MiningError as exc:
-                        report.append({"line": line.index, "error": str(exc)})
+                        update = self._run_merge(line.seller, line.buyer)
+                    except (MiningError, ServiceError) as exc:
+                        report[line.index] = {"error": str(exc)}
                         continue
-                    if update.applied:
-                        self._wal.append(  # reprolint: disable=R014
-                            line.op, line.seller, line.buyer, sync=False
-                        )
-                        appended = True
-                        self.metrics.count_wal_append()
-                        self.metrics.count_arc_applied(line.op)
-                        self._ops_since_snapshot += 1
-                    report.append(
-                        {
-                            "line": line.index,
-                            "op": line.op,
-                            "arc": [line.seller, line.buyer],
-                            "applied": update.applied,
-                            "suspicious": update.suspicious,
-                            "group_count": update.group_count,
-                        }
-                    )
-                if appended:
-                    # Group-commit barrier: one fsync covers the chunk.
-                    self._wal.sync()  # reprolint: disable=R014
-                    if self._ops_since_snapshot >= self._config.snapshot_every:
-                        self._compact_locked()
-        return report
+                    report[line.index] = _line_report(line.op, update)
+                    with self._route_lock.read():
+                        resolved = self._ownership.get(key)
+                    if resolved is not None:
+                        overlay[key] = resolved
+                    continue
+                target = plan.shard
+                overlay[key] = target
+            buffers[target].append(line)
+        self._flush_buffers(buffers, report, overlay)
+        return [
+            {"line": index, **report[index]} for index in sorted(report)
+        ]
 
-    def compact(self) -> Snapshot:
-        """Force a snapshot + WAL truncation; returns the snapshot."""
-        with self._lock.write():
-            self._ensure_open_locked()
-            return self._compact_locked()
+    def _flush_buffers(
+        self,
+        buffers: dict[int, list[ArcLine]],
+        report: dict[int, dict[str, object]],
+        overlay: dict[tuple[str, str], int],
+    ) -> None:
+        live = {i: buf for i, buf in buffers.items() if buf}
+        if not live:
+            return
+        collected: dict[int, list[tuple[int, dict[str, object]]]] = {
+            i: [] for i in live
+        }
 
-    def _compact_locked(self) -> Snapshot:
-        snapshot = Snapshot(
-            last_seq=self._wal.last_seq,
-            arcs=tuple(
-                (str(seller), str(buyer))
-                for seller, buyer in self._detector.trading_arcs()
-            ),
-        )
-        # Snapshot write and WAL truncation must be atomic with respect to
-        # mutations: a write between them would be lost on recovery.
-        write_snapshot(self._config.snapshot_path, snapshot)  # reprolint: disable=R014
-        self._wal.truncate()  # reprolint: disable=R014
-        self._ops_since_snapshot = 0
-        self.metrics.count_snapshot()
-        return snapshot
+        def flush_one(index: int, lines: list[ArcLine]) -> None:
+            out = collected[index]
+            for chunk in _chunks(lines, self._config.group_commit_max):
+                ops = [(line.op, line.seller, line.buyer) for line in chunk]
+                try:
+                    outcomes = self._shards[index].apply_chunk(ops)
+                except ServiceError as exc:
+                    for line in chunk:
+                        out.append((line.index, {"error": str(exc)}))
+                    continue
+                for line, outcome in zip(chunk, outcomes):
+                    if outcome is None:
+                        # A concurrent merge rehomed the arc between
+                        # routing and flush: retry through the router.
+                        try:
+                            outcome = self._dispatch(
+                                line.op, line.seller, line.buyer
+                            )
+                        except (MiningError, ServiceError) as exc:
+                            out.append((line.index, {"error": str(exc)}))
+                            continue
+                    if isinstance(outcome, BaseException):
+                        out.append((line.index, {"error": str(outcome)}))
+                    else:
+                        out.append((line.index, _line_report(line.op, outcome)))
+
+        if len(live) == 1:
+            ((index, lines),) = live.items()
+            flush_one(index, lines)
+        else:
+            threads = [
+                threading.Thread(
+                    target=flush_one,
+                    args=(index, lines),
+                    name=f"repro-batch-flush-{index}",
+                )
+                for index, lines in live.items()
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        for out in collected.values():
+            for index, entry in out:
+                report[index] = entry
+        for i in live:
+            buffers[i] = []
+        overlay.clear()
 
     # ------------------------------------------------------------------
-    # queries (shared)
+    # queries
     # ------------------------------------------------------------------
     def arc_status(self, seller: str, buyer: str) -> ArcStatus:
-        with self._lock.read():
-            return ArcStatus(
-                str(seller),
-                str(buyer),
-                present=(seller, buyer) in self._detector,
-                suspicious=self._detector.is_suspicious_arc(seller, buyer),
-                groups=self._detector.groups_for_arc(seller, buyer),
-            )
+        seller, buyer = str(seller), str(buyer)
+        with self._route_lock.read():
+            owner = self._ownership.get((seller, buyer))
+        target = owner if owner is not None else self._home_shard_for(seller)
+        present, suspicious, groups = self._shards[target].arc_view(seller, buyer)
+        return ArcStatus(
+            seller, buyer, present=present, suspicious=suspicious, groups=groups
+        )
 
     def result(self) -> DetectionResult:
-        """Aggregate result, equal to a batch run over the live arc set."""
-        with self._lock.read():
-            return self._detector.result()
+        """Aggregate result, equal to a batch run over the live arc set.
+
+        Reads every shard under a simultaneous read-lock hold (acquired
+        in index order, the same order merges use), so the merged
+        result is a consistent cut even mid-migration.
+        """
+        parts = self._consistent_view(lambda shard: shard.result_rlocked())
+        return _merge_results(parts, self._detectors[0].component_count)
 
     def investigate(self, company: str) -> CompanyInvestigation:
-        with self._lock.read():
-            return investigate_company(self._tpiin, self._detector.result(), company)
+        return investigate_company(self._tpiin, self.result(), company)
 
     def detectors_payload(self) -> dict[str, object]:
         """The ``GET /v1/detectors`` listing (name, version, config schema)."""
@@ -384,68 +849,89 @@ class DetectionService:
         }
 
     def detector_findings(self, detector: str) -> dict[str, object]:
-        """Run one registered portfolio detector over the live arc set.
-
-        The live arcs are read under the shared lock, then overlaid onto
-        a trading-free antecedent snapshot *outside* the critical
-        section, so an expensive detector never stalls mutations.
-        """
+        """Run one registered portfolio detector over the live arc set."""
         registry = get_detector_registry()
         if detector not in registry:
             raise MiningError(
                 f"unknown detector {detector!r} "
                 f"(choices: {', '.join(registry.names())})"
             )
-        with self._lock.read():
-            arcs = list(self._detector.trading_arcs())
+        per_shard = self._consistent_view(
+            lambda shard: shard.trading_arcs_rlocked()
+        )
         snapshot = self._tpiin.antecedent_view()
-        for seller, buyer in arcs:
-            mapped_seller = snapshot.node_map.get(seller, seller)
-            mapped_buyer = snapshot.node_map.get(buyer, buyer)
-            if mapped_seller == mapped_buyer:
-                snapshot.intra_scs_trades.append((seller, buyer))
-            else:
-                snapshot.graph.add_arc(mapped_seller, mapped_buyer, EColor.TRADING)
+        for arcs in per_shard:
+            for seller, buyer in arcs:
+                mapped_seller = snapshot.node_map.get(seller, seller)
+                mapped_buyer = snapshot.node_map.get(buyer, buyer)
+                if mapped_seller == mapped_buyer:
+                    snapshot.intra_scs_trades.append((seller, buyer))
+                else:
+                    snapshot.graph.add_arc(mapped_seller, mapped_buyer, EColor.TRADING)
         report = run_detectors(snapshot, [detector], registry=registry)
         return report[detector].to_dict()
 
     def arc_count(self) -> int:
-        with self._lock.read():
-            return len(self._detector)
+        return sum(self._consistent_view(lambda shard: shard.arc_count_rlocked()))
 
     def health(self) -> dict[str, object]:
-        with self._lock.read():
-            return {
-                "status": "ok" if not self._closed else "closed",
-                "arcs": len(self._detector),
-                "wal_seq": self._wal.last_seq,
-                "uptime_seconds": self.metrics.uptime_seconds,
-                "recovered_records": self.recovered_records,
-                "recovered_from_snapshot": self.recovered_from_snapshot,
-                "healed_torn_tail": self.healed_torn_tail,
-            }
+        with self._route_lock.read():
+            closed = self._closed
+        seqs = self._consistent_view(lambda shard: shard.wal_last_seq_rlocked())
+        arcs = self._consistent_view(lambda shard: shard.arc_count_rlocked())
+        return {
+            "status": "ok" if not closed else "closed",
+            "arcs": sum(arcs),
+            "wal_seq": max(seqs) if seqs else 0,
+            "shards": len(self._shards),
+            "uptime_seconds": self.metrics.uptime_seconds,
+            "recovered_records": self.recovered_records,
+            "recovered_from_snapshot": self.recovered_from_snapshot,
+            "healed_torn_tail": self.healed_torn_tail,
+        }
 
     def metrics_payload(self) -> dict[str, object]:
         payload = self.metrics.to_dict()
-        with self._lock.read():
-            payload["path_cache"] = self._detector.path_cache_stats.to_dict()
-            payload["arcs_tracked"] = len(self._detector)
-            payload["wal_seq"] = self._wal.last_seq
+        stats = self._consistent_view(
+            lambda shard: (
+                shard.path_cache_stats_rlocked(),
+                shard.arc_count_rlocked(),
+                shard.wal_last_seq_rlocked(),
+            )
+        )
+        caches = [s for s, _, _ in stats]
+        payload["path_cache"] = {
+            "hits": sum(c.hits for c in caches),
+            "misses": sum(c.misses for c in caches),
+            "evictions": sum(c.evictions for c in caches),
+            "size": sum(c.size for c in caches),
+            "capacity": self._config.max_cached_roots,
+            "hit_rate": (
+                sum(c.hits for c in caches)
+                / max(1, sum(c.hits + c.misses for c in caches))
+            ),
+        }
+        payload["arcs_tracked"] = sum(count for _, count, _ in stats)
+        payload["wal_seq"] = max((seq for _, _, seq in stats), default=0)
+        payload["shards"] = [
+            {
+                "shard": i,
+                "arcs": stats[i][1],
+                "wal_seq": stats[i][2],
+                "queue_depth": self._shards[i].queue_depth(),
+            }
+            for i in range(len(self._shards))
+        ]
         return payload
 
     def trace_payload(self, subtpiin: int) -> dict[str, object]:
-        """Recent mutation span trees touching one subTPIIN, newest last.
-
-        ``subtpiin`` is the component index reported by
-        ``/result``/``/investigate``; out-of-range indices raise
-        :class:`MiningError` (surfaced as HTTP 400 by the server).
-        """
-        with self._lock.read():
-            count = self._detector.component_count
-            if not 0 <= subtpiin < count:
-                raise MiningError(
-                    f"subTPIIN index {subtpiin} out of range [0, {count})"
-                )
+        """Recent mutation span trees touching one subTPIIN, newest last."""
+        count = self._detectors[0].component_count
+        if not 0 <= subtpiin < count:
+            raise MiningError(
+                f"subTPIIN index {subtpiin} out of range [0, {count})"
+            )
+        with self._trace_lock:
             matching = [
                 payload
                 for components, payload in self._recent_traces
@@ -457,21 +943,53 @@ class DetectionService:
             "traces": matching,
         }
 
+    @property
+    def shard_count(self) -> int:
+        return len(self._shards)
+
+    def queue_depths(self) -> list[int]:
+        return [shard.queue_depth() for shard in self._shards]
+
+    def _consistent_view(
+        self, per_shard: Callable[[ShardWorker], _T]
+    ) -> list[_T]:
+        """Evaluate ``per_shard`` on every worker under one global cut.
+
+        Read locks are acquired in index order — the same order merge
+        jobs acquire write locks — so this can never deadlock against a
+        migration, and no arc is double-counted mid-move.
+        """
+        for shard in self._shards:
+            shard.lock.acquire_read()
+        try:
+            return [per_shard(shard) for shard in self._shards]
+        finally:
+            for shard in reversed(self._shards):
+                shard.lock.release_read()
+
     # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def compact(self) -> list[Snapshot]:
+        """Force a snapshot + WAL truncation on every shard."""
+        self._ensure_open()
+        return [shard.compact() for shard in self._shards]
+
     def close(self) -> None:
-        """Flush and release durable state (idempotent)."""
-        with self._lock.write():
+        """Drain every shard queue, then flush and release the WALs."""
+        with self._route_lock.write():
             if self._closed:
                 return
             self._closed = True
-            wal = self._wal
-        # The final flush happens outside the critical section: once
-        # ``_closed`` is set no mutation can reach the WAL, and holding
-        # every reader hostage to an fsync would stall shutdown probes.
-        wal.close()
+        for shard in self._shards:
+            shard.stop()
+        for shard in self._shards:
+            shard.close()
 
-    def _ensure_open_locked(self) -> None:
-        if self._closed:
+    def _ensure_open(self) -> None:
+        with self._route_lock.read():
+            closed = self._closed
+        if closed:
             raise ServiceError("the detection service is closed")
 
     def __enter__(self) -> "DetectionService":
@@ -479,3 +997,55 @@ class DetectionService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _line_report(op: str, update: ArcUpdate) -> dict[str, object]:
+    seller, buyer = update.arc
+    return {
+        "op": op,
+        "arc": [str(seller), str(buyer)],
+        "applied": update.applied,
+        "suspicious": update.suspicious,
+        "group_count": update.group_count,
+    }
+
+
+def _merge_results(
+    parts: list[DetectionResult], component_count: int
+) -> DetectionResult:
+    """Combine per-shard results into one batch-equivalent result.
+
+    Sound because shards partition the arc set: groups concatenate,
+    tallies add, and the count overrides merge only when *every* shard
+    ran count-only (mixed modes fall back to materialized groups).  A
+    lone shard's result already is that result, so it is not copied.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    groups: list[object] = []
+    for part in parts:
+        groups.extend(part.groups)
+    count_only = all(part.simple_count_override is not None for part in parts)
+    simple = complex_ = None
+    kinds = None
+    suspicious = None
+    if count_only:
+        simple = sum(part.simple_count_override or 0 for part in parts)
+        complex_ = sum(part.complex_count_override or 0 for part in parts)
+        kinds = Counter()
+        for part in parts:
+            kinds.update(part.kind_counts_override or {})
+        suspicious = set()
+        for part in parts:
+            suspicious |= part.suspicious_arcs_override or set()
+    return DetectionResult(
+        groups=groups,  # type: ignore[arg-type]
+        total_trading_arcs=sum(part.total_trading_arcs for part in parts),
+        cross_component_trades=sum(part.cross_component_trades for part in parts),
+        subtpiin_count=component_count,
+        engine="incremental",
+        simple_count_override=simple,
+        complex_count_override=complex_,
+        kind_counts_override=kinds,
+        suspicious_arcs_override=suspicious,
+    )

@@ -50,14 +50,14 @@ def batch_over(arcs):
 
 def surviving_arcs(config):
     """The arc set the durability contract promises after the crash."""
-    snapshot = read_snapshot(config.snapshot_path)
+    snapshot = read_snapshot(config.shard_snapshot_path(0))
     if snapshot is not None:
         arcs = set(snapshot.arcs)
         floor = snapshot.last_seq
     else:
         arcs = set(FIG8.trading_arcs()) | set(FIG8.intra_scs_trades)
         floor = 0
-    for record in read_wal(config.wal_path).records:
+    for record in read_wal(config.shard_wal_path(0)).records:
         if record.seq <= floor:
             continue
         if record.op == OP_ADD:
@@ -92,9 +92,9 @@ def test_crash_replay_equals_batch(ops, snapshot_every, chop):
         # Crash: release the file handle without any orderly shutdown
         # work, then tear bytes off the WAL tail.
         service.close()
-        if chop and config.wal_path.exists():
-            raw = config.wal_path.read_bytes()
-            config.wal_path.write_bytes(raw[: max(0, len(raw) - chop)])
+        if chop and config.shard_wal_path(0).exists():
+            raw = config.shard_wal_path(0).read_bytes()
+            config.shard_wal_path(0).write_bytes(raw[: max(0, len(raw) - chop)])
 
         expected_arcs = surviving_arcs(config)
         recovered = DetectionService.open(FIG8, config)

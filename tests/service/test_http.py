@@ -102,7 +102,7 @@ class TestMutations:
 
         client, service = served_fig8
         client.add_arc("C8", "C3")
-        records = read_wal(service._wal.path).records
+        records = read_wal(service._config.shard_wal_path(0)).records
         assert [(r.op, r.seller, r.buyer) for r in records] == [("add", "C8", "C3")]
 
 

@@ -12,7 +12,7 @@ from repro.errors import ServiceClientError
 from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig
 from repro.service.server import DetectionHTTPServer
-from repro.service.sharding import ShardedDetectionService
+from repro.service.state import DetectionService
 
 FIG8 = fig8_tpiin()
 
@@ -21,7 +21,7 @@ def start_daemon(tmp_path, **config_kwargs):
     config = ServiceConfig(
         state_dir=tmp_path / "state", port=0, fsync=False, **config_kwargs
     )
-    service = ShardedDetectionService.open(FIG8, config)
+    service = DetectionService.open(FIG8, config)
     server = DetectionHTTPServer((config.host, config.port), service)
     thread = threading.Thread(target=server.serve_forever, name="test-daemon")
     thread.start()
@@ -155,7 +155,7 @@ class TestAdmissionControl:
         finally:
             stop_daemon(server, thread, service)
         # WAL-replay equivalence: exactly the acknowledged state survives.
-        recovered = ShardedDetectionService.open(FIG8, config)
+        recovered = DetectionService.open(FIG8, config)
         try:
             assert recovered.arc_status("C1", "C6").present
         finally:

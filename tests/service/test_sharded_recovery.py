@@ -30,7 +30,7 @@ from repro.fusion.tpiin import TPIIN
 from repro.mining.detector import detect
 from repro.model.colors import EColor
 from repro.service.config import ServiceConfig
-from repro.service.sharding import ShardedDetectionService
+from repro.service.state import DetectionService
 from repro.service.snapshot import read_snapshot
 from repro.service.wal import OP_ADD, OP_REMOVE, WriteAheadLog, read_wal
 
@@ -125,7 +125,7 @@ def test_chop_and_replay_equals_batch(ops, shards, snapshot_every, chop, chop_sh
             snapshot_every=snapshot_every,
             fsync=False,  # tmpfs durability is irrelevant to the property
         )
-        service = ShardedDetectionService.open(FOREST, config)
+        service = DetectionService.open(FOREST, config)
         for op, index in ops:
             seller, buyer = PAIRS[index]
             if op == OP_ADD:
@@ -141,7 +141,7 @@ def test_chop_and_replay_equals_batch(ops, shards, snapshot_every, chop, chop_sh
             wal_path.write_bytes(raw[: max(0, len(raw) - chop)])
 
         expected_arcs = surviving_arcs(config)
-        recovered = ShardedDetectionService.open(FOREST, config)
+        recovered = DetectionService.open(FOREST, config)
         try:
             result = recovered.result()
             batch = batch_over(sorted(expected_arcs))
@@ -171,7 +171,7 @@ def test_double_restart_is_stable(ops, shards, snapshot_every):
             snapshot_every=snapshot_every,
             fsync=False,
         )
-        service = ShardedDetectionService.open(FOREST, config)
+        service = DetectionService.open(FOREST, config)
         for op, index in ops:
             seller, buyer = PAIRS[index]
             if op == OP_ADD:
@@ -182,7 +182,7 @@ def test_double_restart_is_stable(ops, shards, snapshot_every):
         count = service.arc_count()
         service.close()
         for _ in range(2):
-            recovered = ShardedDetectionService.open(FOREST, config)
+            recovered = DetectionService.open(FOREST, config)
             try:
                 again = recovered.result()
                 assert recovered.arc_count() == count
@@ -210,7 +210,7 @@ def test_mid_merge_crash_duplicate_is_healed(tmp_path):
     wal1.append(OP_ADD, "B0", "D1", seq=2)
     wal1.close()
 
-    recovered = ShardedDetectionService.open(FOREST, config)
+    recovered = DetectionService.open(FOREST, config)
     try:
         assert recovered.arc_status("B0", "D1").present
         assert recovered.arc_count() == 1
@@ -220,7 +220,7 @@ def test_mid_merge_crash_duplicate_is_healed(tmp_path):
         recovered.close()
 
     for _ in range(2):
-        again = ShardedDetectionService.open(FOREST, config)
+        again = DetectionService.open(FOREST, config)
         try:
             assert not again.arc_status("B0", "D1").present
             assert again.arc_count() == 0

@@ -1,4 +1,4 @@
-"""Sharded service: parity with the legacy engine, routing, backpressure.
+"""Sharded service: parity with the bare detector, routing, backpressure.
 
 The sharding design leans on arc-decomposability (Definition 2): every
 suspicious group is determined by its one trading arc plus the static
@@ -17,10 +17,11 @@ import pytest
 from repro.datagen.cases import fig8_tpiin
 from repro.errors import BackpressureError, MiningError
 from repro.fusion.tpiin import TPIIN
-from repro.model.colors import VColor
 from repro.io.registry_io import ArcLine, parse_arc_ndjson
+from repro.mining.detector import detect
+from repro.mining.incremental import IncrementalDetector
+from repro.model.colors import EColor, VColor
 from repro.service.config import ServiceConfig
-from repro.service.sharding import ShardedDetectionService
 from repro.service.state import DetectionService
 
 FIG8 = fig8_tpiin()
@@ -81,37 +82,48 @@ def result_key(result):
     )
 
 
+def batch_over(tpiin, arcs):
+    """Batch ``detect`` over ``tpiin``'s antecedent network + ``arcs``."""
+    graph = tpiin.antecedent_graph()
+    for seller, buyer in arcs:
+        graph.add_arc(seller, buyer, EColor.TRADING)
+    return detect(TPIIN(graph=graph), engine="parallel")
+
+
+def assert_matches_reference(tpiin, service, ops):
+    """Each op's verdict equals a bare detector's; the end state, batch.
+
+    The reference is one unsharded :class:`IncrementalDetector` fed the
+    same stream, so routing, merges and shard placement must be
+    invisible in every verdict; the final result must equal a batch
+    run over the surviving arc set.
+    """
+    reference = IncrementalDetector(tpiin)
+    for op, seller, buyer, got in run_ops(service, ops):
+        if op == "add":
+            want = reference.add_trading_arc(seller, buyer)
+        else:
+            want = reference.remove_trading_arc(seller, buyer)
+        assert got.applied == want.applied, (op, seller, buyer)
+        assert got.suspicious == want.suspicious, (op, seller, buyer)
+        assert {g.key() for g in got.groups} == {
+            g.key() for g in want.groups
+        }, (op, seller, buyer)
+    assert service.arc_count() == len(reference)
+    batch = batch_over(tpiin, reference.trading_arcs())
+    assert result_key(service.result()) == result_key(batch)
+
+
 class TestParity:
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_matches_legacy_service(self, tmp_path, shards):
-        legacy = DetectionService.open(
-            FIG8, ServiceConfig(state_dir=tmp_path / "legacy", fsync=False)
-        )
-        sharded = ShardedDetectionService.open(
-            FIG8,
-            ServiceConfig(
-                state_dir=tmp_path / "sharded", shards=shards, fsync=False
-            ),
-        )
-        try:
-            legacy_updates = run_ops(legacy)
-            sharded_updates = run_ops(sharded)
-            for (op, s, b, lhs), (_, _, _, rhs) in zip(
-                legacy_updates, sharded_updates
-            ):
-                assert lhs.applied == rhs.applied, (op, s, b)
-                assert lhs.suspicious == rhs.suspicious, (op, s, b)
-                assert {g.key() for g in lhs.groups} == {
-                    g.key() for g in rhs.groups
-                }, (op, s, b)
-            assert sharded.arc_count() == legacy.arc_count()
-            assert result_key(sharded.result()) == result_key(legacy.result())
-        finally:
-            legacy.close()
-            sharded.close()
+    def test_matches_bare_detector_and_batch(self, tmp_path, shards):
+        with DetectionService.open(
+            FIG8, ServiceConfig(state_dir=tmp_path, shards=shards, fsync=False)
+        ) as service:
+            assert_matches_reference(FIG8, service, OPS)
 
     def test_arc_status_routes_to_owner(self, tmp_path):
-        with ShardedDetectionService.open(
+        with DetectionService.open(
             FIG8, ServiceConfig(state_dir=tmp_path, shards=4, fsync=False)
         ) as service:
             run_ops(service)
@@ -124,7 +136,7 @@ class TestParity:
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_cross_component_parity(self, tmp_path, shards):
-        """Merging workloads agree with the legacy service too."""
+        """Merging workloads agree with the bare detector and batch too."""
         tpiin = multi_component_tpiin()
         ops = [
             ("add", "B0", "D0"),  # suspicious inside copy 0
@@ -135,23 +147,10 @@ class TestParity:
             ("remove", "B1", "D1"),
             ("add", "B4", "D5"),  # chains 3-4 onto 5
         ]
-        legacy = DetectionService.open(
-            tpiin, ServiceConfig(state_dir=tmp_path / "legacy", fsync=False)
-        )
-        sharded = ShardedDetectionService.open(
-            tpiin,
-            ServiceConfig(
-                state_dir=tmp_path / "sharded", shards=shards, fsync=False
-            ),
-        )
-        try:
-            run_ops(legacy, ops)
-            run_ops(sharded, ops)
-            assert sharded.arc_count() == legacy.arc_count()
-            assert result_key(sharded.result()) == result_key(legacy.result())
-        finally:
-            legacy.close()
-            sharded.close()
+        with DetectionService.open(
+            tpiin, ServiceConfig(state_dir=tmp_path, shards=shards, fsync=False)
+        ) as service:
+            assert_matches_reference(tpiin, service, ops)
 
 
 class TestMerges:
@@ -166,7 +165,7 @@ class TestMerges:
 
     def test_cross_component_add_migrates_to_one_home(self, tmp_path):
         tpiin = multi_component_tpiin()
-        with ShardedDetectionService.open(
+        with DetectionService.open(
             tpiin, ServiceConfig(state_dir=tmp_path, shards=4, fsync=False)
         ) as service:
             i, j = self._differently_homed_copies(service)
@@ -187,7 +186,7 @@ class TestMerges:
 
     def test_merged_component_has_single_owner(self, tmp_path):
         tpiin = multi_component_tpiin()
-        with ShardedDetectionService.open(
+        with DetectionService.open(
             tpiin, ServiceConfig(state_dir=tmp_path, shards=4, fsync=False)
         ) as service:
             i, j = self._differently_homed_copies(service)
@@ -214,7 +213,7 @@ class TestBatch:
         )
         lines, rejects = parse_arc_ndjson(text)
         assert [reject.index for reject in rejects] == [1]
-        with ShardedDetectionService.open(
+        with DetectionService.open(
             FIG8, ServiceConfig(state_dir=tmp_path, shards=2, fsync=False)
         ) as service:
             report = service.apply_batch(lines)
@@ -232,11 +231,11 @@ class TestBatch:
             ArcLine(index=i, op=op, seller=s, buyer=b)
             for i, (op, s, b) in enumerate(OPS)
         ]
-        with ShardedDetectionService.open(
+        with DetectionService.open(
             FIG8, ServiceConfig(state_dir=tmp_path / "a", shards=4, fsync=False)
         ) as batched:
             batched.apply_batch(lines)
-            with ShardedDetectionService.open(
+            with DetectionService.open(
                 FIG8, ServiceConfig(state_dir=tmp_path / "b", shards=4, fsync=False)
             ) as sequential:
                 run_ops(sequential)
@@ -250,7 +249,7 @@ class TestBackpressure:
         config = ServiceConfig(
             state_dir=tmp_path, shards=2, fsync=False, ingest_queue_limit=3
         )
-        with ShardedDetectionService.open(FIG8, config) as service:
+        with DetectionService.open(FIG8, config) as service:
             target = service._home_shard_for("C1")
             worker = service._shards[target]
             pending = []
@@ -279,7 +278,7 @@ class TestBackpressure:
             assert all(not u.applied for u in updates[1:])
 
     def test_unknown_company_still_maps_to_400_class_error(self, tmp_path):
-        with ShardedDetectionService.open(
+        with DetectionService.open(
             FIG8, ServiceConfig(state_dir=tmp_path, shards=2, fsync=False)
         ) as service:
             with pytest.raises(MiningError):
@@ -289,7 +288,7 @@ class TestBackpressure:
 class TestDrain:
     def test_close_flushes_queued_writes(self, tmp_path):
         config = ServiceConfig(state_dir=tmp_path, shards=2, fsync=False)
-        service = ShardedDetectionService.open(FIG8, config)
+        service = DetectionService.open(FIG8, config)
         target = service._home_shard_for("C1")
         worker = service._shards[target]
         with worker.lock.write():
@@ -301,7 +300,7 @@ class TestDrain:
         # Acknowledged-at-submit writes are applied before the worker
         # exits; close never abandons them.
         assert all(entry.wait().applied for entry in pending)
-        recovered = ShardedDetectionService.open(FIG8, config)
+        recovered = DetectionService.open(FIG8, config)
         try:
             assert recovered.arc_status("C1", "C6").present
             assert recovered.arc_status("C2", "C6").present
@@ -310,7 +309,7 @@ class TestDrain:
 
     def test_context_manager_closes(self, tmp_path):
         config = ServiceConfig(state_dir=tmp_path, shards=2, fsync=False)
-        with ShardedDetectionService.open(FIG8, config) as service:
+        with DetectionService.open(FIG8, config) as service:
             service.add_arc("C1", "C6")
         with pytest.raises(Exception):
             service.add_arc("C2", "C6")

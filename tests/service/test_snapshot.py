@@ -25,6 +25,18 @@ class TestRoundtrip:
         write_snapshot(path, Snapshot(last_seq=0, arcs=()))
         assert read_snapshot(path) == Snapshot(last_seq=0, arcs=())
 
+    def test_bytes_on_disk_are_pinned(self, tmp_path):
+        """Golden bytes: compact JSON, arcs as nested arrays, one newline."""
+        path = tmp_path / "snapshot.json"
+        write_snapshot(
+            path,
+            Snapshot(last_seq=7, arcs=(("C1", "C2"), ("C\u00e9", 'q"\\'))),
+        )
+        assert path.read_bytes() == (
+            b'{"format":1,"last_seq":7,'
+            b'"arcs":[["C1","C2"],["C\\u00e9","q\\"\\\\"]]}\n'
+        )
+
     def test_overwrite_is_atomic(self, tmp_path):
         path = tmp_path / "snapshot.json"
         write_snapshot(path, Snapshot(last_seq=1, arcs=(("a", "b"),)))

@@ -1,4 +1,8 @@
-"""DetectionService: recovery, durability ordering, compaction, metrics."""
+"""DetectionService: recovery, durability ordering, compaction, metrics.
+
+Run against the default one-shard configuration: shard 0 owns every
+arc, so its WAL and snapshot are the whole durable state.
+"""
 
 import pytest
 
@@ -35,7 +39,7 @@ class TestFirstBoot:
         config = config_for(tmp_path)
         with DetectionService.open(fig8, config):
             pass
-        assert read_wal(config.wal_path).records == ()
+        assert read_wal(config.shard_wal_path(0)).records == ()
 
 
 class TestDurabilityOrdering:
@@ -45,7 +49,7 @@ class TestDurabilityOrdering:
             update = service.remove_arc("C3", "C5")
             assert update.applied
             service.add_arc("C3", "C5")
-        records = read_wal(config.wal_path).records
+        records = read_wal(config.shard_wal_path(0)).records
         assert [(r.op, r.seller, r.buyer) for r in records] == [
             ("remove", "C3", "C5"),
             ("add", "C3", "C5"),
@@ -56,7 +60,7 @@ class TestDurabilityOrdering:
         with DetectionService.open(fig8, config) as service:
             assert not service.add_arc("C3", "C5").applied  # already present
             assert not service.remove_arc("C1", "C2").applied  # absent
-        assert read_wal(config.wal_path).records == ()
+        assert read_wal(config.shard_wal_path(0)).records == ()
 
     def test_rejected_updates_are_not_logged(self, fig8, tmp_path):
         config = config_for(tmp_path)
@@ -65,7 +69,7 @@ class TestDurabilityOrdering:
 
             with pytest.raises(MiningError):
                 service.add_arc("C3", "C99")
-        assert read_wal(config.wal_path).records == ()
+        assert read_wal(config.shard_wal_path(0)).records == ()
 
 
 class TestRestart:
@@ -95,6 +99,63 @@ class TestRestart:
             assert service.recovered_records == 1
             assert group_keys(service.result()) == group_keys(before)
 
+    def test_update_after_compacted_restart_survives(self, fig8, tmp_path):
+        """An ack after a restart must outrank the snapshot floor.
+
+        A sequence counter that restarted below the floor would stamp
+        the new record as already snapshotted, and the next recovery
+        would skip it: an acknowledged update lost.
+        """
+        config = config_for(tmp_path, snapshot_every=3)
+        with DetectionService.open(fig8, config) as service:
+            service.remove_arc("C3", "C5")
+            service.remove_arc("C5", "C6")
+            service.add_arc("C8", "C3")  # third applied op -> compacts
+            assert service.metrics.to_dict()["snapshots_written"] == 1
+            floor = service.health()["wal_seq"]  # the snapshot's last_seq
+        assert floor == 3
+        with DetectionService.open(fig8, config) as service:
+            arcs = service.arc_count()
+            assert service.add_arc("C1", "C6").applied
+        with DetectionService.open(fig8, config) as service:
+            assert service.arc_status("C1", "C6").present
+            assert service.arc_count() == arcs + 1
+            assert service.health()["wal_seq"] > floor
+
+    def test_legacy_state_dir_is_refused(self, fig8, tmp_path):
+        config = config_for(tmp_path)
+        config.ensure_state_dir()
+        config.wal_path.write_text("")
+        with pytest.raises(ServiceError, match="wal.jsonl"):
+            DetectionService.open(fig8, config)
+        config.snapshot_path.write_text("")
+        with pytest.raises(ServiceError, match="wal.jsonl, snapshot.json"):
+            DetectionService.open(fig8, config)
+        # Nothing was written next to the legacy files.
+        assert sorted(p.name for p in config.state_dir.iterdir()) == [
+            "snapshot.json",
+            "wal.jsonl",
+        ]
+
+    def test_legacy_state_migrates_by_rename(self, fig8, tmp_path):
+        config = config_for(tmp_path)
+        with DetectionService.open(fig8, config) as service:
+            service.remove_arc("C3", "C5")
+            service.compact()
+            service.add_arc("C1", "C6")
+            before = service.result()
+        # Lay the files out as the single-lock service named them, then
+        # follow the documented migration.
+        config.shard_wal_path(0).rename(config.wal_path)
+        config.shard_snapshot_path(0).rename(config.snapshot_path)
+        with pytest.raises(ServiceError):
+            DetectionService.open(fig8, config)
+        config.wal_path.rename(config.shard_wal_path(0))
+        config.snapshot_path.rename(config.shard_snapshot_path(0))
+        with DetectionService.open(fig8, config) as service:
+            assert group_keys(service.result()) == group_keys(before)
+            assert service.arc_status("C1", "C6").present
+
     def test_replay_against_wrong_tpiin_raises(self, fig8, tmp_path):
         config = config_for(tmp_path)
         with DetectionService.open(fig8, config) as service:
@@ -111,11 +172,11 @@ class TestCompaction:
         config = config_for(tmp_path, snapshot_every=2)
         with DetectionService.open(fig8, config) as service:
             service.remove_arc("C3", "C5")
-            assert read_snapshot(config.snapshot_path) is None
+            assert read_snapshot(config.shard_snapshot_path(0)) is None
             service.remove_arc("C5", "C6")  # second applied op -> compacts
-            snapshot = read_snapshot(config.snapshot_path)
+            snapshot = read_snapshot(config.shard_snapshot_path(0))
             assert snapshot is not None and snapshot.last_seq == 2
-            assert read_wal(config.wal_path).records == ()
+            assert read_wal(config.shard_wal_path(0)).records == ()
             before = service.result()
         with DetectionService.open(fig8, config) as service:
             assert service.recovered_from_snapshot
@@ -125,7 +186,7 @@ class TestCompaction:
         config = config_for(tmp_path)
         with DetectionService.open(fig8, config) as service:
             service.remove_arc("C3", "C5")
-            snapshot = service.compact()
+            [snapshot] = service.compact()
             assert snapshot.last_seq == 1
             assert ("C3", "C5") not in [tuple(a) for a in snapshot.arcs]
             assert service.metrics.to_dict()["snapshots_written"] == 1
@@ -136,9 +197,9 @@ class TestCompaction:
         config = config_for(tmp_path)
         with DetectionService.open(fig8, config) as service:
             service.remove_arc("C3", "C5")
-            snapshot = service.compact()
+            [snapshot] = service.compact()
             before = service.result()
-        stale = config.wal_path
+        stale = config.shard_wal_path(0)
         from repro.service.wal import WALRecord
 
         record = WALRecord(seq=snapshot.last_seq, op="remove", seller="C3", buyer="C5")

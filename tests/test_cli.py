@@ -316,3 +316,39 @@ class TestNewCommands:
         out = capsys.readouterr().out
         assert "Affiliated transaction analysis: C00001" in out
         assert "Investment tree" in out
+
+
+class TestErrorSurface:
+    """A typed failure is one ``error:`` line on stderr and exit code 1."""
+
+    def test_mine_missing_node_file(self, fig8, tmp_path, capsys):
+        from repro.io.edge_list_io import write_tpiin_csv
+
+        arcs, nodes = tmp_path / "net.arcs.csv", tmp_path / "net.nodes.csv"
+        write_tpiin_csv(fig8, arcs, nodes)
+        nodes.unlink()
+        code = main(["mine", str(arcs), str(nodes), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot read {nodes}: No such file or directory"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_serve_legacy_state_dir(self, fig8, tmp_path, capsys):
+        from repro.io.edge_list_io import write_tpiin_csv
+
+        arcs, nodes = tmp_path / "net.arcs.csv", tmp_path / "net.nodes.csv"
+        write_tpiin_csv(fig8, arcs, nodes)
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "wal.jsonl").write_text("")
+        code = main(
+            ["serve", str(arcs), str(nodes), "--port", "0", "--state-dir", str(state)]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "wal.jsonl" in lines[0] and "Traceback" not in lines[0]
